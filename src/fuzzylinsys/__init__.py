@@ -30,16 +30,19 @@ from .fuzzy import AffineFn, FuzzyNumber, Validity, add, fuzzy_eq, scalar_mul, v
 from .ginv import (
     DEFAULT_TOLERANCES,
     CoreEpDecomposition,
+    MatrixPowers,
     TolerancePolicy,
     core_ep_decompose,
     core_ep_via_decomposition,
     core_ep_via_formula,
     core_inverse,
     in_column_space,
+    index_power,
     matrix_index,
     matrix_power,
     moore_penrose,
     one_three_inverse,
+    power_ranks,
     rank,
 )
 

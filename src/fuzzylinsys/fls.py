@@ -4,12 +4,20 @@ An n x n fuzzy linear system ``A x~ = y~`` (crisp A, fuzzy right-hand side)
 embeds into the crisp 2n x 2n system ``S X(r) = Y(r)`` where
 ``S = [[D, E], [E, D]]`` collects the entrywise positive parts D and negative
 parts E of A.  Consistent systems are solved exactly; inconsistent ones get a
-generalized solution through the core-EP inverse of S, which by its block
-structure needs only two n x n core-EP inverses, of ``|A| = D + E`` and
-``A = D - E``.
+generalized solution through the core-EP inverse of S.
+
+``Q = [[I, I], [I, -I]] / sqrt(2)`` is symmetric and orthogonal with
+``Q S Q = diag(|A|, A)``, where ``|A| = D + E`` and ``A = D - E``.  So the
+singular values of ``S**j`` are those of ``|A|**j`` and ``A**j`` together,
+the column space of ``S**k`` is that of ``diag(|A|**k, A**k)`` turned by Q,
+and ``S^ce = Q diag(|A|^ce, A^ce) Q``.  Classification, the membership test
+and the solve therefore all run on the powers of the two n x n half-blocks,
+each computed once; no 2n x 2n matrix is factorized except ``[S | y0 | y1]``
+for the augmented rank.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +93,12 @@ class AssociatedSystem:
         """Order of the original fuzzy system (S is 2n x 2n)."""
         return self.d.shape[0]
 
+    @cached_property
+    def halves(self) -> tuple[ginv.MatrixPowers, ginv.MatrixPowers]:
+        """Powers of the half-blocks ``|A| = D + E`` and ``A = D - E``, shared
+        by every stage that asks about this system; built on first use."""
+        return ginv.MatrixPowers(self.d + self.e), ginv.MatrixPowers(self.d - self.e)
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -141,10 +155,13 @@ def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -
     The right-hand side is the affine family ``y0 + r*y1``, so the system is
     consistent for every r exactly when both generators lie in the column
     space of S; ``rank_aug`` is therefore the rank of ``[S | y0 | y1]``.
+    ``rank_s`` and ``index_s`` come from the rank sequence of the powers of
+    S, read from the singular values of the half-blocks' powers.
     """
-    rank_s = ginv.rank(sys.s, tol)
+    ranks = ginv.power_ranks(sys.halves, tol)
+    rank_s = ranks[1]
     rank_aug = ginv.rank(np.column_stack([sys.s, sys.y0, sys.y1]), tol)
-    index_s = ginv.matrix_index(sys.s, tol)
+    index_s = len(ranks) - 2
     size = sys.s.shape[0]
     if rank_s < rank_aug:
         kind = INCONSISTENT
@@ -194,6 +211,11 @@ def solve(
     ``method`` forces one of :data:`METHOD_INVERSE`, :data:`METHOD_CORE_EP`,
     :data:`METHOD_2I`, :data:`METHOD_2II`.
 
+    Every stage runs on the half-blocks ``|A|`` and ``A`` (see the module
+    docstring).  Membership in the column space of ``S**k`` is decided by the
+    residual ``||(I - P) y||`` of each generator y, P the orthogonal projector
+    ``S S^ce`` onto that column space, against ``residual_tol * max(1, ||y||)``.
+
     The residual is the max over a uniform r-grid of the infinity norm of
     ``S X(r) - Y(r)`` for exact solutions, or of the auxiliary-system
     mismatch for generalized ones.
@@ -202,20 +224,19 @@ def solve(
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     sys = build_associated(problem)
     cls = classify(sys, tol)
-    s = sys.s
-    n = sys.n
     k = cls.index_s
+    y = np.column_stack([sys.y0, sys.y1])
+    w = _to_halves(y)
 
     if k == 0:
-        sk = np.eye(2 * n)
+        uv = None
         member = True
     else:
-        # _ranked_power snaps a numerically-zero S**k to exact zeros so the
-        # membership test does not see roundoff as a full column space.
-        sk = ginv._ranked_power(s, k, tol)[0]
-        member = ginv.in_column_space(sk, sys.y0, tol) and ginv.in_column_space(
-            sk, sys.y1, tol
-        )
+        uv = _core_ep_halves(sys, w, tol)
+        proj = _projection(sys, uv)
+        miss = np.linalg.norm(proj - y, axis=0)
+        bound = tol.residual_tol * np.maximum(1.0, np.linalg.norm(y, axis=0))
+        member = bool(np.all(miss <= bound))
 
     if method is None:
         if k == 0:
@@ -233,32 +254,30 @@ def solve(
                 f"direct inversion requires matrix index 0, got {k}"
             )
         try:
-            x0 = np.linalg.solve(s, sys.y0)
-            x1 = np.linalg.solve(s, sys.y1)
+            uv = [np.linalg.solve(h.m, wi) for h, wi in zip(sys.halves, w)]
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
-    else:
-        s_ce = block_core_ep(sys, tol)
-        x0 = s_ce @ sys.y0
-        x1 = s_ce @ sys.y1
+    elif uv is None:
+        uv = _core_ep_halves(sys, w, tol)
+    x = _from_halves(*uv)
+    x0, x1 = x.T.copy()
 
     rs = np.linspace(0.0, 1.0, grid)
+    sx = sys.s @ x
     if member:
-        residual = _grid_residual(s, x0, x1, sys.y0, sys.y1, rs)
-        scale = max(1.0, _grid_scale(sys.y0, sys.y1, rs))
+        residual = _grid_max(sx - y, rs)
+        scale = max(1.0, _grid_max(y, rs))
         if residual > tol.residual_tol * scale:
             raise NumericalFailureError(
                 f"exact route left residual {residual:.3e}; membership test and "
                 "solution disagree under the tolerance policy"
             )
     elif method == METHOD_2II:
-        lhs = sk.T @ s
-        residual = _grid_residual(lhs, x0, x1, sk.T @ sys.y0, sk.T @ sys.y1, rs)
+        residual = _grid_max(_power_transpose_apply(sys, k, sx - y, tol), rs)
     else:
-        proj = sk @ ginv.one_three_inverse(sk, tol)
-        residual = _grid_residual(s, x0, x1, proj @ sys.y0, proj @ sys.y1, rs)
+        residual = _grid_max(sx - proj, rs)
 
-    fuzzy_x = _to_fuzzy(x0, x1, n)
+    fuzzy_x = _to_fuzzy(x0, x1, sys.n)
     verdicts = [validity(fn, tol.equality_tol) for fn in fuzzy_x]
     return SolveReport(
         classification=cls,
@@ -282,19 +301,46 @@ def verify_solution(
 
     Exact solutions are checked against the original right-hand side;
     generalized ones against the projected right-hand side
-    ``S^k (S^k)^(1,3) Y(r)`` of the auxiliary consistent system.
+    ``S^k (S^k)^(1,3) Y(r)`` of the auxiliary consistent system, formed as
+    ``S S^ce Y(r)`` through the half-blocks.
     """
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     rs = np.linspace(0.0, 1.0, grid)
+    rhs = np.column_stack([sys.y0, sys.y1])
     if report.is_generalized:
-        k = report.classification.index_s
-        sk = ginv._ranked_power(sys.s, k, tol)[0]
-        proj = sk @ ginv.one_three_inverse(sk, tol)
-        rhs0, rhs1 = proj @ sys.y0, proj @ sys.y1
-    else:
-        rhs0, rhs1 = sys.y0, sys.y1
-    return _grid_residual(sys.s, report.crisp_x0, report.crisp_x1, rhs0, rhs1, rs)
+        rhs = _projection(sys, _core_ep_halves(sys, _to_halves(rhs), tol))
+    x = np.column_stack([report.crisp_x0, report.crisp_x1])
+    return _grid_max(sys.s @ x - rhs, rs)
+
+
+def _to_halves(v: np.ndarray):
+    """``(top + bottom, top - bottom)`` of a 2n-row array: ``sqrt(2) Q v``."""
+    n = v.shape[0] // 2
+    return v[:n] + v[n:], v[:n] - v[n:]
+
+
+def _from_halves(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``[p + q; p - q] / 2``: the inverse of :func:`_to_halves`, ``Q [p; q] / sqrt(2)``."""
+    return 0.5 * np.concatenate([p + q, p - q])
+
+
+def _core_ep_halves(sys: AssociatedSystem, w, tol: TolerancePolicy):
+    """``(|A|^ce w[0], A^ce w[1])``; ``S^ce Y`` is their :func:`_from_halves`."""
+    return [ginv.core_ep_via_formula(h, tol) @ wi for h, wi in zip(sys.halves, w)]
+
+
+def _projection(sys: AssociatedSystem, uv) -> np.ndarray:
+    """``S S^ce Y`` from ``uv = _core_ep_halves(sys, _to_halves(Y))``: the
+    orthogonal projection of Y onto the column space of ``S**k``."""
+    return _from_halves(*(h.m @ z for h, z in zip(sys.halves, uv)))
+
+
+def _power_transpose_apply(sys: AssociatedSystem, k: int, g: np.ndarray, tol: TolerancePolicy):
+    """``(S**k)^T g`` through the half-blocks; a numerically-zero ``S**k`` is zero."""
+    if ginv.power_ranks(sys.halves, tol)[-1] == 0:
+        return np.zeros_like(g)
+    return _from_halves(*(h.power(k).T @ gi for h, gi in zip(sys.halves, _to_halves(g))))
 
 
 def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
@@ -308,13 +354,7 @@ def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
     ]
 
 
-def _grid_residual(mat, x0, x1, rhs0, rhs1, rs) -> float:
-    worst = 0.0
-    for r in rs:
-        gap = mat @ (x0 + r * x1) - (rhs0 + r * rhs1)
-        worst = max(worst, float(np.linalg.norm(gap, np.inf)))
-    return worst
-
-
-def _grid_scale(y0, y1, rs) -> float:
-    return max(float(np.linalg.norm(y0 + r * y1, np.inf)) for r in rs)
+def _grid_max(g: np.ndarray, rs) -> float:
+    """Max over ``r`` in ``rs`` of the infinity norm of the affine family
+    ``g[:, 0] + r * g[:, 1]``."""
+    return max(float(np.linalg.norm(g[:, 0] + r * g[:, 1], np.inf)) for r in rs)

@@ -3,13 +3,15 @@
 Provides a numerical rank with an explicit cutoff policy, the Moore-Penrose
 inverse, the matrix index, the core and core-EP inverses (the latter by two
 independent routes), and column-space membership tests.  All functions are
-pure: they take plain ``numpy`` arrays and return new arrays.
+pure: they take plain ``numpy`` arrays and return new arrays.  The index
+search, the core-EP formula and the core inverse also take a
+:class:`MatrixPowers`, so that callers asking several questions of one matrix
+form its powers and their singular values once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._util import as_matrix, as_square, as_vector
 from .errors import IndexTooLargeError, NumericalFailureError
@@ -18,11 +20,14 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_TOLERANCES",
     "CoreEpDecomposition",
+    "MatrixPowers",
     "rank",
     "moore_penrose",
     "one_three_inverse",
     "matrix_power",
     "matrix_index",
+    "power_ranks",
+    "index_power",
     "core_ep_decompose",
     "core_ep_via_decomposition",
     "core_ep_via_formula",
@@ -107,10 +112,7 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
 def moore_penrose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Moore-Penrose inverse by SVD, dropping singular values below the cutoff."""
     a = as_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed: {exc}") from exc
+    u, s, vt = _svd(a, compute_uv=True)
     cutoff = tol.rank_cutoff(a.shape) * (float(s[0]) if s.size else 0.0)
     inv = np.zeros_like(s)
     keep = s > cutoff
@@ -136,34 +138,93 @@ def matrix_power(m, k: int) -> np.ndarray:
     return np.linalg.matrix_power(a, int(k))
 
 
-def matrix_index(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
-    """Smallest k >= 0 with rank(m**(k+1)) == rank(m**k).
+class MatrixPowers:
+    """The powers ``m**j`` of one square matrix and the singular values of
+    each, every one computed once, on first use.
 
-    Powers of a nilpotent part vanish exactly in exact arithmetic but only to
-    roundoff in floats, so the rank of m**k is judged against the natural
-    scale sigma_max(m)**k rather than against the power's own largest
-    singular value.  Always terminates with k <= n in exact arithmetic; if
-    the rank sequence has not stabilized by then the tolerance policy is
-    inconsistent with the matrix and a numerical failure is raised.
+    ``m**j`` is the chained product ``m**(j-1) @ m``.  ``m`` is copied and
+    the cached arrays are read-only, so callers that share a ``MatrixPowers``
+    cannot corrupt it.
     """
-    a = as_square(m)
-    n = a.shape[0]
-    smax = float(_singular_values(a)[0])
-    prev = n  # rank of m**0
-    power = np.eye(n)
+
+    def __init__(self, m):
+        self.m = as_square(m).copy()
+        self.n = self.m.shape[0]
+        self._powers = [np.eye(self.n), self.m]
+        self._values = [np.ones(self.n)]
+        for p in self._powers:
+            p.flags.writeable = False
+
+    def power(self, j: int) -> np.ndarray:
+        while len(self._powers) <= j:
+            p = self._powers[-1] @ self.m
+            p.flags.writeable = False
+            self._powers.append(p)
+        return self._powers[j]
+
+    def singular_values(self, j: int) -> np.ndarray:
+        """Singular values of ``m**j``, in descending order."""
+        while len(self._values) <= j:
+            self._values.append(_singular_values(self.power(len(self._values))))
+        return self._values[j]
+
+
+def power_ranks(blocks, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[int]:
+    """Ranks of ``m**0, m**1, ...`` up to the first repeat, where ``m`` is the
+    block-diagonal matrix with the given :class:`MatrixPowers` on its
+    diagonal.  The matrix index is ``len(ranks) - 2`` and ``ranks[-1]`` is the
+    rank of ``m**index``.
+
+    The singular values of a block-diagonal matrix are those of its blocks
+    together, so ``m`` is never formed; the cutoff is that of ``m`` itself
+    (its full order, its largest singular value).  Powers of a nilpotent part
+    vanish exactly in exact arithmetic but only to roundoff in floats, so the
+    rank of ``m**k`` is judged against the natural scale ``sigma_max(m)**k``
+    rather than against the power's own largest singular value.  Always
+    terminates with k <= n in exact arithmetic; if the rank sequence has not
+    stabilized by then the tolerance policy is inconsistent with the matrix
+    and a numerical failure is raised.
+    """
+    n = sum(b.n for b in blocks)
+    cutoff = tol.rank_cutoff((n, n))
+    smax = max(float(b.singular_values(1)[0]) for b in blocks)
+    ranks = [n]  # rank of m**0
     reference = 1.0
     for k in range(1, n + 2):
-        power = power @ a
         reference *= smax
+        s = np.concatenate([b.singular_values(k) for b in blocks])
+        top = float(s.max())
         # roundoff in k chained products grows like k * eps * sigma_max**k
-        r = _rank_against_reference(power, (k + 1) * reference, tol)
-        if r == prev:
-            return k - 1
-        prev = r
+        if top <= cutoff * (k + 1) * reference:
+            ranks.append(0)
+        else:
+            ranks.append(int(np.count_nonzero(s > cutoff * top)))
+        if ranks[-1] == ranks[-2]:
+            return ranks
     raise NumericalFailureError(
         "rank sequence did not stabilize within the matrix dimension; "
         "the rank cutoff is inconsistent for this matrix"
     )
+
+
+def index_power(m, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    """``(k, m**k, rank(m**k))`` for the matrix index ``k``, from one pass over
+    the powers of ``m`` (see :func:`power_ranks`).
+
+    ``m`` is a square matrix or a :class:`MatrixPowers`, whose cached powers
+    are then reused.  A numerically-zero power snaps to the exact zero matrix.
+    """
+    powers = _as_powers(m)
+    ranks = power_ranks([powers], tol)
+    k, rho = len(ranks) - 2, ranks[-1]
+    if rho == 0:
+        return k, np.zeros_like(powers.m), 0
+    return k, powers.power(k), rho
+
+
+def matrix_index(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
+    """Smallest k >= 0 with rank(m**(k+1)) == rank(m**k); see :func:`power_ranks`."""
+    return index_power(m, tol)[0]
 
 
 def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDecomposition:
@@ -184,8 +245,7 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     """
     a = as_square(m)
     n = a.shape[0]
-    k = matrix_index(a, tol)
-    rho = _ranked_power(a, k, tol)[1]
+    k, _, rho = index_power(a, tol)
 
     if rho == n:
         t, u = _real_schur(a)
@@ -236,14 +296,13 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
 
     All-real route, no eigenvalue reordering; this is the default production
     path.  For index 0 it reduces to the ordinary inverse, for index <= 1 to
-    the core inverse.
+    the core inverse.  ``m`` is a square matrix or a :class:`MatrixPowers`.
     """
-    a = as_square(m)
-    k = matrix_index(a, tol)
-    ak, rho = _ranked_power(a, k, tol)
+    powers = _as_powers(m)
+    _, ak, rho = index_power(powers, tol)
     if rho == 0:
-        return np.zeros_like(a)  # nilpotent: empty nonsingular part
-    inner = ak.T @ ak @ a  # (A^T)^k A^(k+1)
+        return np.zeros_like(powers.m)  # nilpotent: empty nonsingular part
+    inner = ak.T @ ak @ powers.m  # (A^T)^k A^(k+1)
     return ak @ moore_penrose(inner, tol) @ ak.T
 
 
@@ -254,11 +313,12 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     value is computed by :func:`core_ep_via_formula` and additionally verified
     against equation (1), ``A X A = A``.
     """
-    a = as_square(m)
-    k = matrix_index(a, tol)
+    powers = _as_powers(m)
+    k = index_power(powers, tol)[0]
     if k > 1:
         raise IndexTooLargeError(f"core inverse requires matrix index <= 1, got {k}")
-    x = core_ep_via_formula(a, tol)
+    a = powers.m
+    x = core_ep_via_formula(powers, tol)
     residual = np.linalg.norm(a @ x @ a - a)
     if residual > tol.equality_tol * (1.0 + np.linalg.norm(a)):
         raise NumericalFailureError(
@@ -283,40 +343,37 @@ def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     return residual <= tol.residual_tol * max(1.0, float(np.linalg.norm(v)))
 
 
+def _as_powers(m) -> MatrixPowers:
+    return m if isinstance(m, MatrixPowers) else MatrixPowers(m)
+
+
 def _singular_values(a: np.ndarray) -> np.ndarray:
+    return _svd(a, compute_uv=False)
+
+
+def _svd(a: np.ndarray, compute_uv: bool):
+    """Thin SVD by LAPACK gesdd; where gesdd does not converge, by the slower
+    but more robust gesvd."""
     try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        pass
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.svd(
+            a, full_matrices=False, compute_uv=compute_uv, lapack_driver="gesvd"
+        )
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalFailureError(f"SVD failed: {exc}") from exc
-
-
-def _rank_against_reference(p: np.ndarray, reference: float, tol: TolerancePolicy) -> int:
-    """Rank of ``p``, treating it as zero when its norm is roundoff relative
-    to ``reference`` (the natural scale of the expression that produced it)."""
-    s = _singular_values(p)
-    smax = float(s[0]) if s.size else 0.0
-    if smax <= tol.rank_cutoff(p.shape) * reference:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_cutoff(p.shape) * smax))
-
-
-def _ranked_power(a: np.ndarray, k: int, tol: TolerancePolicy):
-    """``(a**k, rank(a**k))`` with the rank judged against sigma_max(a)**k;
-    a numerically-zero power snaps to the exact zero matrix."""
-    ak = matrix_power(a, k)
-    if k == 0:
-        return ak, a.shape[0]
-    reference = (k + 1) * float(_singular_values(a)[0]) ** k
-    r = _rank_against_reference(ak, reference, tol)
-    if r == 0:
-        return np.zeros_like(ak), 0
-    return ak, r
 
 
 def _real_schur(a: np.ndarray):
     """Real Schur form ``a = u @ t @ u.T`` (t quasi-upper-triangular)."""
     if a.shape[0] == 0:
         return np.zeros((0, 0)), np.zeros((0, 0))
+    import scipy.linalg
+
     try:
         t, u = scipy.linalg.schur(a, output="real")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -335,6 +392,8 @@ def _split_invariant_basis(a: np.ndarray, rho: int):
             f"moduli {hi:.3e} and {lo:.3e} straddle the split"
         )
     theta = float(np.sqrt(hi * lo)) if lo > 0.0 else 0.5 * float(hi)
+    import scipy.linalg
+
     try:
         _, u, sdim = scipy.linalg.schur(
             a.astype(complex), output="complex", sort=lambda lam: abs(lam) > theta

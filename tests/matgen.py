@@ -97,3 +97,50 @@ def integer_membership_suite(seed=20240613, n_matrices=40, ys_per=5):
                 y = [int(v) for v in rng.integers(-4, 5, n)]
             items.append((s, y))
     return items
+
+
+def block_triangular_system(rng, n, index, consistent):
+    """``(A, y0, y1)``: ``A = U [[T, C], [0, N]] U^T`` of the given index, T a
+    scaled orthogonal matrix and N Jordan chains of length ``index``, with a
+    right-hand side stacked as in the associated system.
+
+    ``y_top - y_bot`` lies in ``col(A^index) = col(U_1)`` for a consistent
+    system, and also has a part in the complement ``col(U_2)`` otherwise;
+    ``y_top + y_bot`` is arbitrary (``|A|`` is generically nonsingular).
+    """
+    m = 0 if index == 0 else min(n - 1, index + int(rng.integers(0, 2)))
+    rho = n - m
+    t = random_orthogonal(rng, rho) * rng.uniform(0.5, 2.0, rho)
+    nb = np.zeros((m, m))
+    for i in range(m - 1):
+        if (i + 1) % index:
+            nb[i, i + 1] = 1.0
+    core = np.zeros((n, n))
+    core[:rho, :rho] = t
+    core[:rho, rho:] = rng.standard_normal((rho, m)) / np.sqrt(rho)
+    core[rho:, rho:] = nb
+    u = random_orthogonal(rng, n)
+
+    def stacked():
+        diff = u[:, :rho] @ rng.standard_normal(rho)
+        if not consistent:
+            diff = diff + u[:, rho:] @ rng.standard_normal(m)
+        total = rng.standard_normal(n)
+        return np.concatenate([total + diff, total - diff]) / 2.0
+
+    return u @ core @ u.T, stacked(), stacked()
+
+
+def gesdd_failure_case():
+    """A finite order-256 rank-192 matrix and a vector.  LAPACK gesdd
+    (numpy's SVD driver) fails to converge on ``A^T A A``, the inner matrix
+    of the core-EP formula at index 1, when computing singular vectors with
+    the OpenBLAS 0.3.31 that numpy 2.4 ships; other builds may converge."""
+    rng = np.random.default_rng(1)
+    for n in (4, 64, 256):
+        a = rng.standard_normal((n, n))
+        u, s, vt = np.linalg.svd(a)
+        s[-(n // 4):] = 0.0
+        a = (u * s) @ vt
+        y = rng.standard_normal(n)
+    return a, y

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -294,3 +295,24 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["overall"] == "strong"
+
+
+def test_solve_does_not_import_scipy_linalg():
+    # scipy.linalg is needed only by the Schur-based decomposition and the
+    # gesvd fallback, so importing the package and solving leave it unloaded.
+    script = (
+        "import sys\n"
+        "import fuzzylinsys\n"
+        "from fuzzylinsys.cli import main\n"
+        "code = main(['solve', sys.argv[1], '--format', 'json'])\n"
+        "print(code, 'scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(FIXTURES / "consistent_2x2.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

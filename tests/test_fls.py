@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import assert_fuzzy_matches, fz
-from matgen import block_pair_suite, index_matrix
+from matgen import (
+    block_pair_suite,
+    block_triangular_system,
+    gesdd_failure_case,
+    index_matrix,
+    index_matrix_suite,
+)
+from oracles import solve_2n
 
 from fuzzylinsys import (
     CONSISTENT_INFINITE,
@@ -345,3 +352,81 @@ class TestClassificationConsistency:
         assert cls.kind != INCONSISTENT
         report = solve(p)
         assert report.is_generalized
+
+
+def stacked_problem(a, y0, y1):
+    """The fuzzy system whose associated right-hand side is ``y0 + r*y1``."""
+    n = a.shape[0]
+    return FlsProblem(a=a, y=[
+        FuzzyNumber(AffineFn(y0[i], y1[i]), AffineFn(-y0[n + i], -y1[n + i]))
+        for i in range(n)
+    ])
+
+
+def assert_matches_full_size_route(problem):
+    cls, method, generalized, x = solve_2n(problem)
+    report = solve(problem)
+    assert report.classification == cls
+    assert (report.method, report.is_generalized) == (method, generalized)
+    got = np.column_stack([report.crisp_x0, report.crisp_x1])
+    assert np.linalg.norm(got - x) <= EQ_TOL * (1.0 + np.linalg.norm(x))
+
+
+class TestHalfBlockRoute:
+    """The solver decides and solves on ``|A|`` and ``A``; the same decisions
+    and solution come from factorizing the 2n x 2n S (``oracles.solve_2n``)."""
+
+    def test_index_suite_systems(self):
+        rng = np.random.default_rng(50)
+        for a, _, _ in index_matrix_suite(seed=51, reps=2):
+            n = a.shape[0]
+            s = build_associated(stacked_problem(a, np.zeros(2 * n), np.zeros(2 * n))).s
+            inside = matrix_power(s, n)  # col(S^n) = col(S^k) for every k >= index
+            for y0, y1 in (
+                (rng.standard_normal(2 * n), rng.standard_normal(2 * n)),
+                (inside @ rng.standard_normal(2 * n), inside @ rng.standard_normal(2 * n)),
+            ):
+                assert_matches_full_size_route(stacked_problem(a, y0, y1))
+
+    def test_block_triangular_systems(self):
+        rng = np.random.default_rng(52)
+        for n in (8, 12, 16):
+            for k in range(4):
+                for consistent in (True, False):
+                    a, y0, y1 = block_triangular_system(rng, n, k, consistent)
+                    assert_matches_full_size_route(stacked_problem(a, y0, y1))
+
+    def test_no_full_size_factorization(self, monkeypatch):
+        # On a singular system only the augmented rank [S | y0 | y1] sees 2n rows.
+        n = 16
+        a, y0, y1 = block_triangular_system(np.random.default_rng(53), n, 2, False)
+        problem = stacked_problem(a, y0, y1)
+        shapes = []
+
+        def recording(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(m, *args, **kwargs):
+                shapes.append((name, m.shape))
+                return original(m, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("svd", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, recording(name))
+        for method in (None, METHOD_2II):
+            shapes.clear()
+            report = solve(problem, method=method)
+            assert report.is_generalized
+            verify_solution(build_associated(problem), report)
+            assert not [s for s in shapes if s[0] == "lstsq"]
+            assert [s for s in shapes if s[1][0] == 2 * n] == [("svd", (2 * n, 2 * n + 2))]
+
+    def test_gesdd_non_convergence_is_recovered(self):
+        # the core-EP inverse of the A block needs the SVD that gesdd fails on
+        a, y = gesdd_failure_case()
+        problem = stacked_problem(a, np.concatenate([y, -y - 1.0]), np.ones(2 * y.size))
+        report = solve(problem)
+        assert report.classification.index_s == 1
+        assert report.is_generalized
+        assert verify_solution(build_associated(problem), report) <= RES_TOL

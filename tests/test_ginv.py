@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from matgen import block_pair_suite, index_matrix, index_matrix_suite, random_orthogonal
+from matgen import (
+    block_pair_suite,
+    gesdd_failure_case,
+    index_matrix,
+    index_matrix_suite,
+    random_orthogonal,
+)
 from oracles import exact_rank
 
 from fuzzylinsys import (
@@ -105,6 +111,25 @@ class TestMoorePenrose:
                 m = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
             x = moore_penrose(m)
             assert max(penrose_residuals(m, x)) <= EQ_TOL
+
+
+class TestSvdFallback:
+    def test_core_ep_where_gesdd_does_not_converge(self):
+        a, _ = gesdd_failure_case()
+        x = core_ep_via_formula(a)
+        assert max(core_ep_residuals(a, x, 1)) <= EQ_TOL
+
+    def test_gesvd_takes_over_when_gesdd_fails(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        m = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 6))
+        expected_rank, expected_inverse = rank(m), moore_penrose(m)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert rank(m) == expected_rank
+        np.testing.assert_allclose(moore_penrose(m), expected_inverse, atol=EQ_TOL)
 
 
 class TestOneThreeInverse:

@@ -31,12 +31,13 @@ print("validity((2r, -4)):", validity(weak))
 bad = FuzzyNumber(lower=AffineFn(0.625, -1.125), upper=AffineFn(-0.625, 1.125))
 print("validity((0.625-1.125r, -0.625+1.125r)):", validity(bad))
 
-# A sampled grid of the endpoints, handy for plotting or tabulating.
-r, lo, up = a.sample(grid=5)
+# The endpoints evaluate elementwise on an array of r values, handy for
+# plotting or tabulating.
+r = np.linspace(0.0, 1.0, 5)
 print("\nr     :", r)
-print("lower :", lo)
-print("upper :", up)
+print("lower :", a.lower(r))
+print("upper :", a.upper(r))
 
 # On a dense grid a valid fuzzy number keeps its endpoints ordered.
-r, lo, up = a.sample(grid=101)
-print("lower <= upper everywhere:", bool(np.all(lo <= up)))
+r = np.linspace(0.0, 1.0, 101)
+print("lower <= upper everywhere:", bool(np.all(a.lower(r) <= a.upper(r))))

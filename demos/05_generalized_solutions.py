@@ -11,8 +11,8 @@ from fuzzylinsys import (
     AffineFn,
     FlsProblem,
     FuzzyNumber,
-    block_core_ep,
     build_associated,
+    core_ep_from_blocks,
     core_ep_via_formula,
     solve,
     verify_solution,
@@ -57,7 +57,7 @@ print("variant answers identical:", np.array_equal(r_i.crisp_x0, r_ii.crisp_x0)
 # The core-EP inverse of the 2n x 2n matrix never has to be formed at full
 # size: it inherits the [[h, z], [z, h]] block layout, with h and z built
 # from the two half-size inverses of |a| = d + e and a = d - e.
-blocked = block_core_ep(sys)
+blocked = core_ep_from_blocks(sys.d, sys.e)
 direct = core_ep_via_formula(sys.s)
 print("\nblock-assembled core-EP inverse:\n", blocked)
 print("matches the direct computation to", np.abs(blocked - direct).max())

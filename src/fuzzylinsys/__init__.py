@@ -19,7 +19,6 @@ from .fls import (
     Classification,
     FlsProblem,
     SolveReport,
-    block_core_ep,
     build_associated,
     classify,
     core_ep_from_blocks,

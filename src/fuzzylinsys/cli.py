@@ -83,8 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--residual-tol", type=float, default=None)
     p_solve.add_argument("--eq-tol", type=float, default=None)
     p_solve.add_argument("--format", choices=("text", "json"), default="text")
-    p_solve.add_argument("--grid", type=int, default=fls.DEFAULT_GRID,
-                         help="number of r-grid points for residual evaluation")
     p_solve.add_argument("--output", default=None, help="write the report here instead of stdout")
     p_solve.set_defaults(handler=cmd_solve)
 
@@ -102,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args) -> int:
     problem = load_problem(args.input)
     tol = _tolerances_from_flags(args)
-    report = fls.solve(problem, tol, method=_METHOD_FLAGS[args.method], grid=args.grid)
+    report = fls.solve(problem, tol, method=_METHOD_FLAGS[args.method])
     if args.format == "json":
         text = json.dumps(report_to_dict(report, tol), indent=2)
     else:

@@ -35,7 +35,6 @@ __all__ = [
     "METHOD_CORE_EP",
     "METHOD_2I",
     "METHOD_2II",
-    "DEFAULT_GRID",
     "FlsProblem",
     "AssociatedSystem",
     "Classification",
@@ -43,7 +42,6 @@ __all__ = [
     "build_associated",
     "classify",
     "core_ep_from_blocks",
-    "block_core_ep",
     "solve",
     "verify_solution",
 ]
@@ -57,8 +55,6 @@ METHOD_CORE_EP = "CoreEp"
 METHOD_2I = "Method2-i"
 METHOD_2II = "Method2-ii"
 _METHODS = (METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I, METHOD_2II)
-
-DEFAULT_GRID = 11
 
 
 @dataclass
@@ -190,16 +186,10 @@ def core_ep_from_blocks(d, e, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.n
     return np.block([[h, z], [z, h]])
 
 
-def block_core_ep(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Core-EP inverse of the associated matrix via its D/E block structure."""
-    return core_ep_from_blocks(sys.d, sys.e, tol)
-
-
 def solve(
     problem: FlsProblem,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
     method: str | None = None,
-    grid: int = DEFAULT_GRID,
 ) -> SolveReport:
     """Solve the fuzzy linear system, choosing the route automatically.
 
@@ -216,12 +206,10 @@ def solve(
     residual ``||(I - P) y||`` of each generator y, P the orthogonal projector
     ``S S^ce`` onto that column space, against ``residual_tol * max(1, ||y||)``.
 
-    The residual is the max over a uniform r-grid of the infinity norm of
+    The residual is the max over r in [0, 1] of the infinity norm of
     ``S X(r) - Y(r)`` for exact solutions, or of the auxiliary-system
     mismatch for generalized ones.
     """
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
     sys = build_associated(problem)
     cls = classify(sys, tol)
     k = cls.index_s
@@ -262,20 +250,19 @@ def solve(
     x = _from_halves(*uv)
     x0, x1 = x.T.copy()
 
-    rs = np.linspace(0.0, 1.0, grid)
     sx = sys.s @ x
     if member:
-        residual = _grid_max(sx - y, rs)
-        scale = max(1.0, _grid_max(y, rs))
+        residual = _max_over_r(sx - y)
+        scale = max(1.0, _max_over_r(y))
         if residual > tol.residual_tol * scale:
             raise NumericalFailureError(
                 f"exact route left residual {residual:.3e}; membership test and "
                 "solution disagree under the tolerance policy"
             )
     elif method == METHOD_2II:
-        residual = _grid_max(_power_transpose_apply(sys, k, sx - y, tol), rs)
+        residual = _max_over_r(_power_transpose_apply(sys, k, sx - y, tol))
     else:
-        residual = _grid_max(sx - proj, rs)
+        residual = _max_over_r(sx - proj)
 
     fuzzy_x = _to_fuzzy(x0, x1, sys.n)
     verdicts = [validity(fn, tol.equality_tol) for fn in fuzzy_x]
@@ -294,24 +281,20 @@ def solve(
 def verify_solution(
     sys: AssociatedSystem,
     report: SolveReport,
-    grid: int = DEFAULT_GRID,
     tol: TolerancePolicy = DEFAULT_TOLERANCES,
 ) -> float:
-    """Re-substitute a reported solution and return the max grid residual.
+    """Re-substitute a reported solution and return the max residual over r.
 
     Exact solutions are checked against the original right-hand side;
     generalized ones against the projected right-hand side
     ``S^k (S^k)^(1,3) Y(r)`` of the auxiliary consistent system, formed as
     ``S S^ce Y(r)`` through the half-blocks.
     """
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
-    rs = np.linspace(0.0, 1.0, grid)
     rhs = np.column_stack([sys.y0, sys.y1])
     if report.is_generalized:
         rhs = _projection(sys, _core_ep_halves(sys, _to_halves(rhs), tol))
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
-    return _grid_max(sys.s @ x - rhs, rs)
+    return _max_over_r(sys.s @ x - rhs)
 
 
 def _to_halves(v: np.ndarray):
@@ -354,7 +337,9 @@ def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
     ]
 
 
-def _grid_max(g: np.ndarray, rs) -> float:
-    """Max over ``r`` in ``rs`` of the infinity norm of the affine family
-    ``g[:, 0] + r * g[:, 1]``."""
-    return max(float(np.linalg.norm(g[:, 0] + r * g[:, 1], np.inf)) for r in rs)
+def _max_over_r(g: np.ndarray) -> float:
+    """Max over r in [0, 1] of the infinity norm of the affine family
+    ``g[:, 0] + r * g[:, 1]``.  The norm is convex in r, so the max is at an
+    endpoint."""
+    return max(float(np.linalg.norm(g[:, 0], np.inf)),
+               float(np.linalg.norm(g[:, 0] + g[:, 1], np.inf)))

@@ -10,8 +10,6 @@ membership requirements and is then flagged, not rejected.
 from dataclasses import dataclass
 from math import isfinite
 
-import numpy as np
-
 __all__ = [
     "AffineFn",
     "FuzzyNumber",
@@ -59,11 +57,6 @@ class FuzzyNumber:
 
     def __rmul__(self, lam: float) -> "FuzzyNumber":
         return scalar_mul(lam, self)
-
-    def sample(self, grid: int = 11):
-        """Evaluate both endpoints on a uniform r-grid (display only)."""
-        r = np.linspace(0.0, 1.0, grid)
-        return r, self.lower.c0 + self.lower.c1 * r, self.upper.c0 + self.upper.c1 * r
 
 
 @dataclass(frozen=True)

@@ -228,51 +228,32 @@ def matrix_index(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
 
 
 def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDecomposition:
-    """Split ``m`` into its nonsingular core and nilpotent part.
+    """Split ``m`` into its nonsingular core and nilpotent part (Wang's
+    core-EP decomposition).
 
     Returns real orthogonal ``u`` and blocks ``t`` (nonsingular, order
     ``rho = rank(m**k)``), ``s_block`` and nilpotent ``n_block`` with
     ``m = u @ [[t, s], [0, n]] @ u.T``.
 
-    The separation is eigenvalue-based: a Schur triangularization is reordered
-    so the ``rho`` largest eigenvalue moduli lead.  Complex conjugate pairs are
-    handled in complex arithmetic internally and the basis is re-realified, so
-    all returned factors are real.  Zero eigenvalues of a defective matrix are
-    computed with error on the order of ``norm(m) * eps**(1/k)``, so the
-    reordering threshold is placed adaptively inside the modulus gap rather
-    than at the rank cutoff itself; if no gap separates the two groups, a
-    numerical failure is raised.
+    ``k``, ``m**k`` and ``rho`` come from :func:`index_power`, and the first
+    ``rho`` left singular vectors of ``m**k`` are an orthonormal basis of its
+    column space.  That space is invariant under ``m``, so ``m`` is block
+    upper triangular in the basis; no eigenvalues are computed and no second
+    rank decision is made.  Real Schur forms of the two diagonal blocks then
+    make ``t`` quasi-triangular and ``n_block`` strictly triangular.
     """
     a = as_square(m)
     n = a.shape[0]
-    k, _, rho = index_power(a, tol)
-
-    if rho == n:
-        t, u = _real_schur(a)
-        s_block = np.zeros((n, 0))
-        n_block = np.zeros((0, 0))
-        dec = CoreEpDecomposition(u=u, t=t, s_block=s_block, n_block=n_block, k=k)
-    elif rho == 0:
-        n_full, u = _real_schur(a)
-        dec = CoreEpDecomposition(
-            u=u, t=np.zeros((0, 0)), s_block=np.zeros((0, n)), n_block=n_full, k=k
-        )
-    else:
-        q1, q2 = _split_invariant_basis(a, rho)
-        # Inner Schur passes tidy the blocks: t becomes quasi-triangular and
-        # n_block (all eigenvalues numerically zero) strictly triangular.
-        t0, v = _real_schur(q1.T @ a @ q1)
-        q1 = q1 @ v
-        n0, w = _real_schur(q2.T @ a @ q2)
-        q2 = q2 @ w
-        dec = CoreEpDecomposition(
-            u=np.hstack([q1, q2]),
-            t=t0,
-            s_block=q1.T @ a @ q2,
-            n_block=n0,
-            k=k,
-        )
-
+    k, ak, rho = index_power(a, tol)
+    u = np.eye(n) if rho in (0, n) else _svd(ak, compute_uv=True)[0]
+    q1, q2 = u[:, :rho], u[:, rho:]
+    t, v = _real_schur(q1.T @ a @ q1)
+    q1 = q1 @ v
+    n_block, w = _real_schur(q2.T @ a @ q2)
+    q2 = q2 @ w
+    dec = CoreEpDecomposition(
+        u=np.hstack([q1, q2]), t=t, s_block=q1.T @ a @ q2, n_block=n_block, k=k
+    )
     _check_decomposition(a, dec, tol)
     return dec
 
@@ -299,9 +280,11 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     the core inverse.  ``m`` is a square matrix or a :class:`MatrixPowers`.
     """
     powers = _as_powers(m)
-    _, ak, rho = index_power(powers, tol)
+    k, ak, rho = index_power(powers, tol)
     if rho == 0:
         return np.zeros_like(powers.m)  # nilpotent: empty nonsingular part
+    # The formula is unchanged by scaling A^k; unit scale keeps the products finite.
+    ak = ak / powers.singular_values(k)[0]
     inner = ak.T @ ak @ powers.m  # (A^T)^k A^(k+1)
     return ak @ moore_penrose(inner, tol) @ ak.T
 
@@ -379,39 +362,6 @@ def _real_schur(a: np.ndarray):
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericalFailureError(f"Schur decomposition failed: {exc}") from exc
     return t, u
-
-
-def _split_invariant_basis(a: np.ndarray, rho: int):
-    """Real orthonormal bases (q1, q2) with span(q1) the invariant subspace
-    of the ``rho`` largest-modulus eigenvalues and q2 its complement."""
-    moduli = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
-    hi, lo = moduli[rho - 1], moduli[rho]
-    if hi <= lo:
-        raise NumericalFailureError(
-            "cannot separate zero from nonzero eigenvalues under the tolerance: "
-            f"moduli {hi:.3e} and {lo:.3e} straddle the split"
-        )
-    theta = float(np.sqrt(hi * lo)) if lo > 0.0 else 0.5 * float(hi)
-    import scipy.linalg
-
-    try:
-        _, u, sdim = scipy.linalg.schur(
-            a.astype(complex), output="complex", sort=lambda lam: abs(lam) > theta
-        )
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalFailureError(f"ordered Schur decomposition failed: {exc}") from exc
-    if sdim != rho:
-        raise NumericalFailureError(
-            f"eigenvalue reordering selected {sdim} eigenvalues where rank(m^k) = {rho}"
-        )
-    leading = u[:, :rho]
-    # The selected eigenvalue set is closed under conjugation, so the span of
-    # [Re, Im] is a real subspace of dimension exactly rho (singular values
-    # are 1 with multiplicity rho and 0 otherwise).
-    basis, sv, _ = np.linalg.svd(np.hstack([leading.real, leading.imag]))
-    if sv[rho - 1] < 0.5:
-        raise NumericalFailureError("invariant subspace could not be realified")
-    return basis[:, :rho], basis[:, rho:]
 
 
 def _check_decomposition(a: np.ndarray, dec: CoreEpDecomposition, tol: TolerancePolicy):

@@ -16,7 +16,6 @@ from oracles import exact_in_colspace, exact_index, int_matpow
 from fuzzylinsys import (
     METHOD_2I,
     METHOD_2II,
-    block_core_ep,
     core_ep_decompose,
     core_ep_from_blocks,
     core_ep_via_decomposition,
@@ -84,7 +83,7 @@ def test_criterion_3_inconsistent_2x2_reproduction(inconsistent_2x2):
     assert cls.kind == "Inconsistent"
     assert (cls.rank_s, cls.rank_aug, cls.index_s) == (2, 4, 2)
 
-    np.testing.assert_allclose(block_core_ep(w.system), w.core_ep, atol=1e-9)
+    np.testing.assert_allclose(core_ep_from_blocks(w.system.d, w.system.e), w.core_ep, atol=1e-9)
     np.testing.assert_allclose(core_ep_via_formula(w.s), w.core_ep, atol=1e-9)
 
     rep_i = solve(w.problem, method=METHOD_2I)

@@ -102,7 +102,7 @@ class TestSolveCommand:
     def test_tolerance_flags_are_applied(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", str(FIXTURES / "consistent_2x2.json"),
-            "--format", "json", "--residual-tol", "1e-6", "--grid", "5",
+            "--format", "json", "--residual-tol", "1e-6",
         )
         assert code == EXIT_OK
         assert json.loads(out)["tolerances"]["residual_tol"] == 1e-6
@@ -217,6 +217,17 @@ class TestInverseCommand:
         assert "index = 2" in out
         t_section = out.split("T:")[1].split("S-block:")[0]
         assert float(t_section.strip()) == pytest.approx(2.0, abs=1e-9)
+
+    def test_huge_entries_do_not_overflow(self, capsys, tmp_path):
+        # (A^T)^k A^(k+1) would be ~1e330 here; the inverse itself is tiny
+        doc = tmp_path / "m.json"
+        doc.write_text(json.dumps({"a": [[1e110, 1e110], [0, 0]]}))
+        code, out, err = run_cli(capsys, "inverse", str(doc), "--show-decomposition")
+        assert code == EXIT_OK and err == ""
+        rows = [line.split() for line in out.splitlines()[1:3]]
+        got = np.array([[float(v) for v in row] for row in rows])
+        np.testing.assert_allclose(got, [[1e-110, 0.0], [0.0, 0.0]], rtol=1e-6, atol=0.0)
+        assert "index = 1" in out
 
     def test_core_on_index_two_matrix(self, capsys, tmp_path):
         doc = tmp_path / "m.json"

@@ -23,7 +23,6 @@ from fuzzylinsys import (
     DimensionMismatchError,
     FlsProblem,
     IndexTooLargeError,
-    block_core_ep,
     build_associated,
     classify,
     core_ep_from_blocks,
@@ -128,16 +127,20 @@ class TestClassify:
 class TestBlockCoreEp:
     def test_rank_one_system(self, inconsistent_2x2):
         np.testing.assert_allclose(
-            block_core_ep(inconsistent_2x2.system), inconsistent_2x2.core_ep, atol=EQ_TOL
+            core_ep_from_blocks(inconsistent_2x2.system.d, inconsistent_2x2.system.e),
+            inconsistent_2x2.core_ep,
+            atol=EQ_TOL,
         )
 
     def test_identity(self):
         sys = build_associated(FlsProblem(a=np.eye(3), y=[fz(0, 1, 2, -1)] * 3))
-        np.testing.assert_allclose(block_core_ep(sys), np.eye(6), atol=EQ_TOL)
+        np.testing.assert_allclose(core_ep_from_blocks(sys.d, sys.e), np.eye(6), atol=EQ_TOL)
 
     def test_index_two_system(self, consistent_3x3):
         np.testing.assert_allclose(
-            block_core_ep(consistent_3x3.system), consistent_3x3.core_ep, atol=EQ_TOL
+            core_ep_from_blocks(consistent_3x3.system.d, consistent_3x3.system.e),
+            consistent_3x3.core_ep,
+            atol=EQ_TOL,
         )
 
     def test_matches_direct_core_ep_random_pairs(self):
@@ -257,17 +260,12 @@ class TestVerifySolution:
         assert residual > RES_TOL
         # at r = 0: X = 0.625 * ones, every row of S sums to 2, so
         # S X(0) = 1.25 * ones against Y(0) = (3, 4, -2, 0) misses by 3.25;
-        # the grid maximum is at r = 1 where the miss grows to 7
+        # the maximum over r is at r = 1, where the miss grows to 7
         sx = inconsistent_2x2.s @ report.crisp_x0
         np.testing.assert_allclose(sx, [1.25] * 4, atol=EQ_TOL)
         gap_at_0 = np.linalg.norm(sx - inconsistent_2x2.y0, np.inf)
         assert gap_at_0 == pytest.approx(3.25, abs=1e-9)
         assert residual == pytest.approx(7.0, abs=1e-9)
-
-    def test_rejects_degenerate_grid(self, consistent_2x2):
-        report = solve(consistent_2x2.problem)
-        with pytest.raises(ValueError):
-            verify_solution(consistent_2x2.system, report, grid=1)
 
 
 class TestColumnSpaceTheorem:

@@ -139,9 +139,3 @@ def test_affine_rejects_nonfinite():
     with pytest.raises(ValueError):
         AffineFn(0.0, float("inf"))
 
-
-def test_sample_grid_shape():
-    r, lo, up = fz(0, 1, 4, -2).sample(grid=5)
-    assert r.shape == lo.shape == up.shape == (5,)
-    assert lo[0] == 0 and lo[-1] == 1
-    assert up[0] == 4 and up[-1] == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from matgen import (
     block_pair_suite,
+    block_triangular_system,
     gesdd_failure_case,
     index_matrix,
     index_matrix_suite,
@@ -18,6 +19,7 @@ from fuzzylinsys import (
     core_ep_via_formula,
     core_inverse,
     in_column_space,
+    index_power,
     matrix_index,
     matrix_power,
     moore_penrose,
@@ -247,6 +249,18 @@ class TestCoreEpDecompose:
             # defective zeros perturb by at most ~eps**(1/3), so counting
             # moduli above 0.1 is an independent oracle for the core size.
             assert dec.rho == int(np.count_nonzero(np.abs(np.linalg.eigvals(m)) > 0.1))
+            k, _, rho = index_power(m)
+            assert (dec.k, dec.rho) == (k, rho)
+
+    def test_index_two_where_eigenvalues_blur(self):
+        # Perturbed defective zero eigenvalues make a split of this matrix by
+        # eigenvalue modulus select 127 eigenvalues where rank(m**2) is 125.
+        m, _, _ = block_triangular_system(np.random.default_rng([2, 171]), 128, 2, True)
+        dec = core_ep_decompose(m)
+        assert (dec.k, dec.rho) == (2, 125)
+        a = core_ep_via_formula(m)
+        b = core_ep_via_decomposition(m)
+        assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
 
 
 class TestCoreEpRoutes:
@@ -294,6 +308,12 @@ class TestCoreEpRoutes:
         m = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
         x = core_ep_via_formula(m)
         np.testing.assert_allclose(x @ m, np.eye(4), atol=1e-8)
+
+    def test_huge_entries_do_not_overflow(self):
+        m = np.array([[1e110, 1e110], [0.0, 0.0]])
+        expected = [[1e-110, 0.0], [0.0, 0.0]]
+        np.testing.assert_allclose(core_ep_via_formula(m), expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(core_ep_via_decomposition(m), expected, rtol=1e-12, atol=0.0)
 
 
 class TestCoreInverse:

@@ -5,13 +5,15 @@ a report (text or JSON), ``inverse`` exposes the generalized-inverse engine on
 a bare matrix file.  Input documents are JSON with explicit field names; see
 the README for the schemas.
 
-Exit codes: 0 success, 2 parse error, 3 dimension mismatch, 4 numerical
-failure.  Diagnostics go to stderr, reports to stdout (or ``--output``).
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 parse error, 3 dimension mismatch, 4 numerical failure.  Diagnostics go to
+stderr, reports to stdout (or ``--output``).
 """
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from math import isfinite
 
@@ -28,6 +30,7 @@ from .fuzzy import AffineFn, FuzzyNumber, Validity
 from .ginv import TolerancePolicy
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NUMERICAL = 4
@@ -55,7 +58,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away; the flush at exit must not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -7,13 +7,15 @@ parts E of A.  Consistent systems are solved exactly; inconsistent ones get a
 generalized solution through the core-EP inverse of S.
 
 ``Q = [[I, I], [I, -I]] / sqrt(2)`` is symmetric and orthogonal with
-``Q S Q = diag(|A|, A)``, where ``|A| = D + E`` and ``A = D - E``.  So the
-singular values of ``S**j`` are those of ``|A|**j`` and ``A**j`` together,
-the column space of ``S**k`` is that of ``diag(|A|**k, A**k)`` turned by Q,
-and ``S^ce = Q diag(|A|^ce, A^ce) Q``.  Classification, the membership test
-and the solve therefore all run on the powers of the two n x n half-blocks,
-each computed once; no 2n x 2n matrix is factorized except ``[S | y0 | y1]``
-for the augmented rank.
+``Q S Q = diag(|A|, A)``, where ``|A| = D + E`` and ``A = D - E``.  So
+``rank(S**j) = rank(|A|**j) + rank(A**j)``, the index of S is the larger of
+the two half-blocks' indices, and the column space of ``S**j`` is Q applied
+to the column spaces of ``|A|**j`` and ``A**j`` side by side.  Each
+half-block's own rank sequence is the only rank decision; classification,
+the membership test and the solve then read their answers from one
+orthonormal basis B per half-block power, and ``M^ce = B (B^T M B)^-1 B^T``
+with B a basis of ``col(M**k)`` (Wang's core-EP decomposition).  No 2n x 2n
+matrix is factorized.
 """
 
 from dataclasses import dataclass, field
@@ -150,14 +152,17 @@ def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -
 
     The right-hand side is the affine family ``y0 + r*y1``, so the system is
     consistent for every r exactly when both generators lie in the column
-    space of S; ``rank_aug`` is therefore the rank of ``[S | y0 | y1]``.
-    ``rank_s`` and ``index_s`` come from the rank sequence of the powers of
-    S, read from the singular values of the half-blocks' powers.
+    space of S; ``rank_aug`` is the rank of ``[S | y0 | y1]``.  ``rank_s`` and
+    ``index_s`` come from the two half-blocks' rank sequences, each judged on
+    its own scale, and ``rank_aug = rank_s + rank((I - P) [y0 y1])`` with P
+    the orthogonal projector onto the column space of S, so
+    ``rank_aug >= rank_s`` by construction.
     """
-    ranks = ginv.power_ranks(sys.halves, tol)
-    rank_s = ranks[1]
-    rank_aug = ginv.rank(np.column_stack([sys.s, sys.y0, sys.y1]), tol)
-    index_s = len(ranks) - 2
+    ranks = [ginv.power_ranks(h, tol) for h in sys.halves]
+    rank_s = sum(r[1] for r in ranks)
+    y = np.column_stack([sys.y0, sys.y1])
+    rank_aug = rank_s + _residual_rank(_outside(_bases(sys, tol, 1), y), y, tol)
+    index_s = max(len(r) - 2 for r in ranks)
     size = sys.s.shape[0]
     if rank_s < rank_aug:
         kind = INCONSISTENT
@@ -202,52 +207,39 @@ def solve(
     :data:`METHOD_2I`, :data:`METHOD_2II`.
 
     Every stage runs on the half-blocks ``|A|`` and ``A`` (see the module
-    docstring).  Membership in the column space of ``S**k`` is decided by the
-    residual ``||(I - P) y||`` of each generator y, P the orthogonal projector
-    ``S S^ce`` onto that column space, against ``residual_tol * max(1, ||y||)``.
+    docstring), with B the basis of ``col(M**k)`` of each half-block M at its
+    own index k.  Y lies in the column space of ``S**k`` when its residual
+    ``(I - P) Y`` against the orthogonal projector P onto that space has rank
+    0 (see :func:`classify`), and the solution is ``S^ce Y``, from
+    ``B (B^T M B)^-1 B^T`` on each half; at index 0, B = I and this is the
+    plain solve.
 
     The residual is the max over r in [0, 1] of the infinity norm of
     ``S X(r) - Y(r)`` for exact solutions, or of the auxiliary-system
-    mismatch for generalized ones.
+    mismatch ``S X(r) - P Y(r)`` for generalized ones.
     """
     sys = build_associated(problem)
     cls = classify(sys, tol)
     k = cls.index_s
     y = np.column_stack([sys.y0, sys.y1])
-    w = _to_halves(y)
-
-    if k == 0:
-        uv = None
-        member = True
-    else:
-        uv = _core_ep_halves(sys, w, tol)
-        proj = _projection(sys, uv)
-        miss = np.linalg.norm(proj - y, axis=0)
-        bound = tol.residual_tol * np.maximum(1.0, np.linalg.norm(y, axis=0))
-        member = bool(np.all(miss <= bound))
+    bases = _bases(sys, tol)
+    outside = _outside(bases, y)
+    member = _residual_rank(outside, y, tol) == 0
 
     if method is None:
-        if k == 0:
-            method = METHOD_INVERSE
-        elif member:
-            method = METHOD_CORE_EP
-        else:
-            method = METHOD_2I
+        method = METHOD_INVERSE if k == 0 else METHOD_CORE_EP if member else METHOD_2I
     elif method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    if method == METHOD_INVERSE and k != 0:
+        raise IndexTooLargeError(f"direct inversion requires matrix index 0, got {k}")
 
-    if method == METHOD_INVERSE:
-        if k != 0:
-            raise IndexTooLargeError(
-                f"direct inversion requires matrix index 0, got {k}"
-            )
-        try:
-            uv = [np.linalg.solve(h.m, wi) for h, wi in zip(sys.halves, w)]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"linear solve failed: {exc}") from exc
-    elif uv is None:
-        uv = _core_ep_halves(sys, w, tol)
-    x = _from_halves(*uv)
+    try:
+        x = _from_halves(*(
+            b @ np.linalg.solve(b.T @ h.m @ b, b.T @ wi)
+            for h, b, wi in zip(sys.halves, bases, _to_halves(y))
+        ))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"linear solve failed: {exc}") from exc
     x0, x1 = x.T.copy()
 
     sx = sys.s @ x
@@ -262,7 +254,7 @@ def solve(
     elif method == METHOD_2II:
         residual = _max_over_r(_power_transpose_apply(sys, k, sx - y, tol))
     else:
-        residual = _max_over_r(sx - proj)
+        residual = _max_over_r(sx - y + outside)
 
     fuzzy_x = _to_fuzzy(x0, x1, sys.n)
     verdicts = [validity(fn, tol.equality_tol) for fn in fuzzy_x]
@@ -286,13 +278,13 @@ def verify_solution(
     """Re-substitute a reported solution and return the max residual over r.
 
     Exact solutions are checked against the original right-hand side;
-    generalized ones against the projected right-hand side
-    ``S^k (S^k)^(1,3) Y(r)`` of the auxiliary consistent system, formed as
-    ``S S^ce Y(r)`` through the half-blocks.
+    generalized ones against the right-hand side ``P Y(r)`` of the auxiliary
+    consistent system, P the orthogonal projector onto the column space of
+    ``S**k`` that :func:`solve` uses (equal to ``S^k (S^k)^(1,3)``).
     """
     rhs = np.column_stack([sys.y0, sys.y1])
     if report.is_generalized:
-        rhs = _projection(sys, _core_ep_halves(sys, _to_halves(rhs), tol))
+        rhs = rhs - _outside(_bases(sys, tol), rhs)
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
     return _max_over_r(sys.s @ x - rhs)
 
@@ -308,22 +300,47 @@ def _from_halves(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.concatenate([p + q, p - q])
 
 
-def _core_ep_halves(sys: AssociatedSystem, w, tol: TolerancePolicy):
-    """``(|A|^ce w[0], A^ce w[1])``; ``S^ce Y`` is their :func:`_from_halves`."""
-    return [ginv.core_ep_via_formula(h, tol) @ wi for h, wi in zip(sys.halves, w)]
+def _bases(sys: AssociatedSystem, tol: TolerancePolicy, j: int | None = None):
+    """Orthonormal bases of the column spaces of ``|A|**j`` and ``A**j``,
+    ``j = None`` meaning each half-block's own index; Q turns them into a
+    basis of the column space of S (j = 1) or of ``S**k``."""
+    bases = []
+    for h in sys.halves:
+        ranks = ginv.power_ranks(h, tol)
+        i = len(ranks) - 2 if j is None else j
+        bases.append(h.range_basis(i, ranks[i]))
+    return bases
 
 
-def _projection(sys: AssociatedSystem, uv) -> np.ndarray:
-    """``S S^ce Y`` from ``uv = _core_ep_halves(sys, _to_halves(Y))``: the
-    orthogonal projection of Y onto the column space of ``S**k``."""
-    return _from_halves(*(h.m @ z for h, z in zip(sys.halves, uv)))
+def _outside(bases, y: np.ndarray) -> np.ndarray:
+    """``(I - P) y`` for a 2n-row y, P the orthogonal projector onto the
+    column space that ``bases`` (from :func:`_bases`) span."""
+    return _from_halves(*(w - b @ (b.T @ w) for b, w in zip(bases, _to_halves(y))))
+
+
+def _residual_rank(g: np.ndarray, y: np.ndarray, tol: TolerancePolicy) -> int:
+    """Rank of the residual ``g = (I - P) y`` of the two generators.
+
+    A column within ``residual_tol * max(1, ||y||)`` of its generator counts
+    as zero.  Those are dropped first: with both left, the second counts only
+    by its part orthogonal to the first (``R[1, 1]`` of a QR of g), so an
+    in-bound roundoff residual never hides a real one parallel to it.
+    """
+    bound = tol.residual_tol * np.maximum(1.0, np.linalg.norm(y, axis=0))
+    norms = np.linalg.norm(g, axis=0)
+    if not np.all(norms > bound):
+        return int(np.count_nonzero(norms > bound))
+    u = g[:, 0] / norms[0]
+    return 1 + int(np.linalg.norm(g[:, 1] - u * (u @ g[:, 1])) > bound[1])
 
 
 def _power_transpose_apply(sys: AssociatedSystem, k: int, g: np.ndarray, tol: TolerancePolicy):
-    """``(S**k)^T g`` through the half-blocks; a numerically-zero ``S**k`` is zero."""
-    if ginv.power_ranks(sys.halves, tol)[-1] == 0:
-        return np.zeros_like(g)
-    return _from_halves(*(h.power(k).T @ gi for h, gi in zip(sys.halves, _to_halves(g))))
+    """``(S**k)^T g`` through the half-blocks; a half-block whose own power is
+    numerically zero contributes zero."""
+    return _from_halves(*(
+        np.zeros_like(gi) if ginv.power_ranks(h, tol)[-1] == 0 else h.power(k).T @ gi
+        for h, gi in zip(sys.halves, _to_halves(g))
+    ))
 
 
 def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:

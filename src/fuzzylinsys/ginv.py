@@ -6,7 +6,8 @@ independent routes), and column-space membership tests.  All functions are
 pure: they take plain ``numpy`` arrays and return new arrays.  The index
 search, the core-EP formula and the core inverse also take a
 :class:`MatrixPowers`, so that callers asking several questions of one matrix
-form its powers and their singular values once.
+form its powers, their singular values and the orthonormal bases of their
+column spaces once.
 """
 
 from dataclasses import dataclass
@@ -139,8 +140,9 @@ def matrix_power(m, k: int) -> np.ndarray:
 
 
 class MatrixPowers:
-    """The powers ``m**j`` of one square matrix and the singular values of
-    each, every one computed once, on first use.
+    """The powers ``m**j`` of one square matrix, the singular values of each
+    and orthonormal bases of their column spaces, every one computed once, on
+    first use.
 
     ``m**j`` is the chained product ``m**(j-1) @ m``.  ``m`` is copied and
     the cached arrays are read-only, so callers that share a ``MatrixPowers``
@@ -152,6 +154,7 @@ class MatrixPowers:
         self.n = self.m.shape[0]
         self._powers = [np.eye(self.n), self.m]
         self._values = [np.ones(self.n)]
+        self._vectors = {}
         for p in self._powers:
             p.flags.writeable = False
 
@@ -168,37 +171,47 @@ class MatrixPowers:
             self._values.append(_singular_values(self.power(len(self._values))))
         return self._values[j]
 
+    def range_basis(self, j: int, r: int) -> np.ndarray:
+        """Orthonormal basis of the column space of ``m**j`` of rank ``r``: its
+        first ``r`` left singular vectors; the identity's columns when ``r`` is
+        0 or n, which takes no SVD."""
+        if r in (0, self.n):
+            return np.eye(self.n)[:, :r]
+        if j not in self._vectors:
+            u = _svd(self.power(j), compute_uv=True)[0]
+            u.flags.writeable = False
+            self._vectors[j] = u
+        return self._vectors[j][:, :r]
 
-def power_ranks(blocks, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[int]:
-    """Ranks of ``m**0, m**1, ...`` up to the first repeat, where ``m`` is the
-    block-diagonal matrix with the given :class:`MatrixPowers` on its
-    diagonal.  The matrix index is ``len(ranks) - 2`` and ``ranks[-1]`` is the
-    rank of ``m**index``.
 
-    The singular values of a block-diagonal matrix are those of its blocks
-    together, so ``m`` is never formed; the cutoff is that of ``m`` itself
-    (its full order, its largest singular value).  Powers of a nilpotent part
-    vanish exactly in exact arithmetic but only to roundoff in floats, so the
-    rank of ``m**k`` is judged against the natural scale ``sigma_max(m)**k``
-    rather than against the power's own largest singular value.  Always
-    terminates with k <= n in exact arithmetic; if the rank sequence has not
-    stabilized by then the tolerance policy is inconsistent with the matrix
-    and a numerical failure is raised.
+def power_ranks(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[int]:
+    """Ranks of ``m**0, m**1, ...`` up to the first repeat.  The matrix index
+    is ``len(ranks) - 2`` and ``ranks[-1]`` is the rank of ``m**index``.
+
+    ``m`` is a square matrix or a :class:`MatrixPowers`, whose cached
+    singular values are then reused.  Powers of a nilpotent part vanish
+    exactly in exact arithmetic but only to roundoff in floats, and that
+    roundoff is on the natural scale ``sigma_max(m)**k``, which can be far
+    above the power's own largest singular value.  So for k >= 2 a singular
+    value of ``m**k`` counts toward its rank only above both the relative
+    cutoff times that largest value and the roundoff floor
+    ``(k + 1) * cutoff * sigma_max(m)**k``.  Always terminates with k <= n in
+    exact arithmetic; if the rank sequence has not stabilized by then the
+    tolerance policy is inconsistent with the matrix and a numerical failure
+    is raised.
     """
-    n = sum(b.n for b in blocks)
-    cutoff = tol.rank_cutoff((n, n))
-    smax = max(float(b.singular_values(1)[0]) for b in blocks)
-    ranks = [n]  # rank of m**0
+    powers = _as_powers(m)
+    cutoff = tol.rank_cutoff(powers.m.shape)
+    smax = float(powers.singular_values(1)[0])
+    ranks = [powers.n]  # rank of m**0
     reference = 1.0
-    for k in range(1, n + 2):
+    for k in range(1, powers.n + 2):
         reference *= smax
-        s = np.concatenate([b.singular_values(k) for b in blocks])
-        top = float(s.max())
-        # roundoff in k chained products grows like k * eps * sigma_max**k
-        if top <= cutoff * (k + 1) * reference:
-            ranks.append(0)
-        else:
-            ranks.append(int(np.count_nonzero(s > cutoff * top)))
+        s = powers.singular_values(k)
+        # roundoff in k chained products grows like k * eps * sigma_max**k;
+        # m itself is exact
+        floor = cutoff * (k + 1) * reference if k > 1 else 0.0
+        ranks.append(int(np.count_nonzero(s > max(cutoff * s[0], floor))))
         if ranks[-1] == ranks[-2]:
             return ranks
     raise NumericalFailureError(
@@ -215,7 +228,7 @@ def index_power(m, tol: TolerancePolicy = DEFAULT_TOLERANCES):
     are then reused.  A numerically-zero power snaps to the exact zero matrix.
     """
     powers = _as_powers(m)
-    ranks = power_ranks([powers], tol)
+    ranks = power_ranks(powers, tol)
     k, rho = len(ranks) - 2, ranks[-1]
     if rho == 0:
         return k, np.zeros_like(powers.m), 0
@@ -275,9 +288,10 @@ def core_ep_via_decomposition(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> n
 def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Core-EP inverse as ``A^k [(A^T)^k A^(k+1)]^+ (A^T)^k``.
 
-    All-real route, no eigenvalue reordering; this is the default production
-    path.  For index 0 it reduces to the ordinary inverse, for index <= 1 to
-    the core inverse.  ``m`` is a square matrix or a :class:`MatrixPowers`.
+    All-real route, no eigenvalue reordering; the default of
+    ``fuzzylinsys inverse``.  For index 0 it reduces to the ordinary inverse,
+    for index <= 1 to the core inverse.  ``m`` is a square matrix or a
+    :class:`MatrixPowers`.
     """
     powers = _as_powers(m)
     k, ak, rho = index_power(powers, tol)

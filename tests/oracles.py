@@ -3,7 +3,12 @@
 Exact rational-arithmetic oracles, independent of the library under test,
 and the full-size route of the solver: classification and membership decided
 by factorizing the 2n x 2n associated matrix S itself, as the solver did
-before it worked on the half-blocks ``|A|`` and ``A``.
+before it worked on the half-blocks ``|A|`` and ``A``.  The full-size route
+judges every rank on the scale of S (order 2n, ``sigma_max(S)``) and decides
+the augmented rank and membership by separate SVD and least-squares cutoffs;
+the solver makes one rank decision per half-block, on that block's own
+scale, and reads the rest from it.  ``||A||_F = || |A| ||_F``, so the two
+scales differ by at most a factor ``2 sqrt(n)``.
 """
 
 from fractions import Fraction

@@ -9,6 +9,7 @@ import pytest
 
 from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, solve
 from fuzzylinsys.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DIMENSION,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -106,6 +107,16 @@ class TestSolveCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["tolerances"]["residual_tol"] == 1e-6
+
+    def test_huge_entries_inconsistent(self, capsys, tmp_path):
+        doc = tmp_path / "p.json"
+        rec = {"lower": [1, 0], "upper": [2, 0]}
+        doc.write_text(json.dumps({"a": [[1e110, 1e110], [0, 0]], "y": [rec, rec]}))
+        code, out, _ = run_cli(capsys, "solve", str(doc))
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == (
+            "classification : Inconsistent  (rank S = 2, rank [S|Y] = 3, index = 1)"
+        )
 
     def test_bad_tolerance_flag(self, capsys):
         code, _, err = run_cli(
@@ -306,6 +317,23 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["overall"] == "strong"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of the report is gone before it is written
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fuzzylinsys", "solve", str(FIXTURES / "consistent_3x3.json")],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_solve_does_not_import_scipy_linalg():

@@ -202,6 +202,17 @@ class TestMatrixIndex:
                 m = index_matrix(rng, n, k)
                 assert matrix_index(m) == k
 
+    def test_roundoff_in_high_powers_is_not_rank(self):
+        # Indices up to n: roundoff left in the null space of A^k can exceed
+        # n * eps * sigma_max(A^k), but not the roundoff floor of the chained
+        # product, n * eps * (k + 1) * sigma_max(A)^k.
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            n = int(rng.integers(4, 9))
+            k = int(rng.integers(2, n + 1))
+            m = index_matrix(rng, n, k)
+            assert matrix_index(m) == k
+
     def test_requires_square(self):
         with pytest.raises(DimensionMismatchError):
             matrix_index(np.zeros((2, 3)))

@@ -5,9 +5,9 @@ a report (text or JSON), ``inverse`` exposes the generalized-inverse engine on
 a bare matrix file.  Input documents are JSON with explicit field names; see
 the README for the schemas.
 
-Exit codes: 0 success, 1 stdout closed before the report was written,
-2 parse error, 3 dimension mismatch, 4 numerical failure.  Diagnostics go to
-stderr, reports to stdout (or ``--output``).
+Exit codes: 0 success, 1 stdout closed before the report was written (and
+no other error), 2 parse error, 3 dimension mismatch, 4 numerical failure.
+Diagnostics go to stderr, reports to stdout (or ``--output``).
 """
 
 import argparse
@@ -57,14 +57,23 @@ _RESERVED_KEYS = ("samples", "grid", "r")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        code = args.handler(args)
+        code = _run(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-        return code
     except BrokenPipeError:
         # The reader went away; the flush at exit must not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code or EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args) -> int:
+    """Run the subcommand, mapping the package's errors to exit codes."""
+    try:
+        return args.handler(args)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

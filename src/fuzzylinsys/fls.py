@@ -93,8 +93,9 @@ class AssociatedSystem:
 
     @cached_property
     def halves(self) -> tuple[ginv.MatrixPowers, ginv.MatrixPowers]:
-        """Powers of the half-blocks ``|A| = D + E`` and ``A = D - E``, shared
-        by every stage that asks about this system; built on first use."""
+        """The half-blocks ``|A| = D + E`` and ``A = D - E`` with the ranks and
+        range bases of their powers, shared by every stage that asks about
+        this system; built on first use."""
         return ginv.MatrixPowers(self.d + self.e), ginv.MatrixPowers(self.d - self.e)
 
 
@@ -158,11 +159,11 @@ def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -
     the orthogonal projector onto the column space of S, so
     ``rank_aug >= rank_s`` by construction.
     """
-    ranks = [ginv.power_ranks(h, tol) for h in sys.halves]
-    rank_s = sum(r[1] for r in ranks)
+    ranges = [h.ranges(tol) for h in sys.halves]
+    rank_s = sum(ranks[1] for ranks, _ in ranges)
+    index_s = max(len(ranks) - 2 for ranks, _ in ranges)
     y = np.column_stack([sys.y0, sys.y1])
-    rank_aug = rank_s + _residual_rank(_outside(_bases(sys, tol, 1), y), y, tol)
-    index_s = max(len(r) - 2 for r in ranks)
+    rank_aug = rank_s + _residual_rank(_outside([b[1] for _, b in ranges], y), y, tol)
     size = sys.s.shape[0]
     if rank_s < rank_aug:
         kind = INCONSISTENT
@@ -233,13 +234,7 @@ def solve(
     if method == METHOD_INVERSE and k != 0:
         raise IndexTooLargeError(f"direct inversion requires matrix index 0, got {k}")
 
-    try:
-        x = _from_halves(*(
-            b @ np.linalg.solve(b.T @ h.m @ b, b.T @ wi)
-            for h, b, wi in zip(sys.halves, bases, _to_halves(y))
-        ))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"linear solve failed: {exc}") from exc
+    x = _from_halves(*(h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, _to_halves(y))))
     x0, x1 = x.T.copy()
 
     sx = sys.s @ x
@@ -252,7 +247,7 @@ def solve(
                 "solution disagree under the tolerance policy"
             )
     elif method == METHOD_2II:
-        residual = _max_over_r(_power_transpose_apply(sys, k, sx - y, tol))
+        residual = _max_over_r(_power_transpose_apply(sys, bases, k, sx - y))
     else:
         residual = _max_over_r(sx - y + outside)
 
@@ -300,16 +295,11 @@ def _from_halves(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 0.5 * np.concatenate([p + q, p - q])
 
 
-def _bases(sys: AssociatedSystem, tol: TolerancePolicy, j: int | None = None):
-    """Orthonormal bases of the column spaces of ``|A|**j`` and ``A**j``,
-    ``j = None`` meaning each half-block's own index; Q turns them into a
-    basis of the column space of S (j = 1) or of ``S**k``."""
-    bases = []
-    for h in sys.halves:
-        ranks = ginv.power_ranks(h, tol)
-        i = len(ranks) - 2 if j is None else j
-        bases.append(h.range_basis(i, ranks[i]))
-    return bases
+def _bases(sys: AssociatedSystem, tol: TolerancePolicy):
+    """Orthonormal bases of the column spaces of ``|A|**k`` and ``A**k``,
+    each half-block at its own index k; Q turns them into a basis of the
+    column space of ``S**k``."""
+    return [h.ranges(tol)[1][-2] for h in sys.halves]
 
 
 def _outside(bases, y: np.ndarray) -> np.ndarray:
@@ -334,13 +324,18 @@ def _residual_rank(g: np.ndarray, y: np.ndarray, tol: TolerancePolicy) -> int:
     return 1 + int(np.linalg.norm(g[:, 1] - u * (u @ g[:, 1])) > bound[1])
 
 
-def _power_transpose_apply(sys: AssociatedSystem, k: int, g: np.ndarray, tol: TolerancePolicy):
-    """``(S**k)^T g`` through the half-blocks; a half-block whose own power is
-    numerically zero contributes zero."""
-    return _from_halves(*(
-        np.zeros_like(gi) if ginv.power_ranks(h, tol)[-1] == 0 else h.power(k).T @ gi
-        for h, gi in zip(sys.halves, _to_halves(g))
-    ))
+def _power_transpose_apply(sys: AssociatedSystem, bases, k: int, g: np.ndarray):
+    """``(S**k)^T g = (S**k)^T P g`` through the half-blocks, P the projector
+    onto the column space of ``S**k`` that ``bases`` (from :func:`_bases`)
+    span, by k products with each ``M^T``: no power is formed, and a
+    half-block whose power is numerically zero contributes zero."""
+    halves = []
+    for h, b, gi in zip(sys.halves, bases, _to_halves(g)):
+        gi = b @ (b.T @ gi)
+        for _ in range(k):
+            gi = h.m.T @ gi
+        halves.append(gi)
+    return _from_halves(*halves)
 
 
 def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:

@@ -6,8 +6,8 @@ independent routes), and column-space membership tests.  All functions are
 pure: they take plain ``numpy`` arrays and return new arrays.  The index
 search, the core-EP formula and the core inverse also take a
 :class:`MatrixPowers`, so that callers asking several questions of one matrix
-form its powers, their singular values and the orthonormal bases of their
-column spaces once.
+decide the ranks of its powers, and find the orthonormal bases of their
+column spaces, once.
 """
 
 from dataclasses import dataclass
@@ -140,91 +140,99 @@ def matrix_power(m, k: int) -> np.ndarray:
 
 
 class MatrixPowers:
-    """The powers ``m**j`` of one square matrix, the singular values of each
-    and orthonormal bases of their column spaces, every one computed once, on
-    first use.
+    """The ranks of the powers ``m**j`` of one square matrix and orthonormal
+    bases of their column spaces, computed once per tolerance policy, on
+    first use, without forming any power (see :meth:`ranges`), and the
+    core-EP inverse of ``m`` applied through them (:meth:`core_ep_apply`).
 
-    ``m**j`` is the chained product ``m**(j-1) @ m``.  ``m`` is copied and
-    the cached arrays are read-only, so callers that share a ``MatrixPowers``
-    cannot corrupt it.
+    ``m`` is copied and the cached arrays are read-only, so callers that
+    share a ``MatrixPowers`` cannot corrupt it.
     """
 
     def __init__(self, m):
         self.m = as_square(m).copy()
+        self.m.flags.writeable = False
         self.n = self.m.shape[0]
-        self._powers = [np.eye(self.n), self.m]
-        self._values = [np.ones(self.n)]
-        self._vectors = {}
-        for p in self._powers:
-            p.flags.writeable = False
+        self._ranges = {}
 
-    def power(self, j: int) -> np.ndarray:
-        while len(self._powers) <= j:
-            p = self._powers[-1] @ self.m
-            p.flags.writeable = False
-            self._powers.append(p)
-        return self._powers[j]
+    def ranges(self, tol: TolerancePolicy = DEFAULT_TOLERANCES):
+        """``(ranks, bases)``: the ranks of ``m**0, m**1, ...`` up to the first
+        repeat, and an orthonormal basis of the column space of each power.
 
-    def singular_values(self, j: int) -> np.ndarray:
-        """Singular values of ``m**j``, in descending order."""
-        while len(self._values) <= j:
-            self._values.append(_singular_values(self.power(len(self._values))))
-        return self._values[j]
+        The column space of ``m**j`` is ``m`` applied to that of
+        ``m**(j-1)``, so with B the basis of the latter, the thin SVD of
+        ``m @ B`` gives both the rank of ``m**j`` and its basis.  The rank
+        comes from a values-only SVD; only where it dropped does the next
+        power need the basis, so an SVD with vectors follows there (when the
+        rank stays, the previous basis spans the same space).  A nonsingular
+        m thus takes one values-only SVD, about a third of the cost of one
+        with vectors.  The singular values count only above
+        ``j * cutoff * sigma_max(m)``, the size of the roundoff in m and in
+        the j products behind ``m @ B``: a perturbation of m that small could
+        remove the ones below.  So the decision is scale-free, like the rank
+        of m itself, and is never made against ``sigma_max(m)**j``, which can
+        lie far above the real singular values of a power of a non-normal m.  Always terminates with
+        j <= n + 1 in exact arithmetic; if the rank sequence has not
+        stabilized by then the tolerance policy is inconsistent with the
+        matrix and a numerical failure is raised.
+        """
+        if tol not in self._ranges:
+            self._ranges[tol] = self._staircase(tol)
+        return self._ranges[tol]
 
-    def range_basis(self, j: int, r: int) -> np.ndarray:
-        """Orthonormal basis of the column space of ``m**j`` of rank ``r``: its
-        first ``r`` left singular vectors; the identity's columns when ``r`` is
-        0 or n, which takes no SVD."""
-        if r in (0, self.n):
-            return np.eye(self.n)[:, :r]
-        if j not in self._vectors:
-            u = _svd(self.power(j), compute_uv=True)[0]
-            u.flags.writeable = False
-            self._vectors[j] = u
-        return self._vectors[j][:, :r]
+    def core_ep_apply(self, w, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
+        """``m^ce @ w`` as ``B (B^T m B)^-1 B^T w``, B the basis of the column
+        space of ``m**k`` at the index k (Wang's core-EP decomposition); at
+        index 0, B = I and this is ``solve(m, w)``."""
+        b = self.ranges(tol)[1][-2]
+        try:
+            if b.shape[1] == self.n:
+                return np.linalg.solve(self.m, w)
+            return b @ np.linalg.solve(b.T @ self.m @ b, b.T @ w)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"linear solve failed: {exc}") from exc
+
+    def _staircase(self, tol: TolerancePolicy):
+        cutoff = tol.rank_cutoff(self.m.shape)
+        eye = np.eye(self.n)
+        eye.flags.writeable = False
+        ranks, bases = [self.n], [eye]
+        for j in range(1, self.n + 2):
+            r, b = 0, bases[-1]  # a power after a zero power is zero
+            if ranks[-1]:
+                c = self.m if j == 1 else self.m @ b
+                s = _singular_values(c)
+                if j == 1:
+                    smax = s[0]
+                r = int(np.count_nonzero(s > j * cutoff * smax))
+                if r < ranks[-1]:  # the next power needs this one's basis
+                    b = _svd(c, compute_uv=True)[0][:, :r]
+                    b.flags.writeable = False
+            ranks.append(r)
+            bases.append(b)
+            if r == ranks[-2]:
+                return ranks, bases
+        raise NumericalFailureError(
+            "rank sequence did not stabilize within the matrix dimension; "
+            "the rank cutoff is inconsistent for this matrix"
+        )
 
 
 def power_ranks(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[int]:
     """Ranks of ``m**0, m**1, ...`` up to the first repeat.  The matrix index
     is ``len(ranks) - 2`` and ``ranks[-1]`` is the rank of ``m**index``.
 
-    ``m`` is a square matrix or a :class:`MatrixPowers`, whose cached
-    singular values are then reused.  Powers of a nilpotent part vanish
-    exactly in exact arithmetic but only to roundoff in floats, and that
-    roundoff is on the natural scale ``sigma_max(m)**k``, which can be far
-    above the power's own largest singular value.  So for k >= 2 a singular
-    value of ``m**k`` counts toward its rank only above both the relative
-    cutoff times that largest value and the roundoff floor
-    ``(k + 1) * cutoff * sigma_max(m)**k``.  Always terminates with k <= n in
-    exact arithmetic; if the rank sequence has not stabilized by then the
-    tolerance policy is inconsistent with the matrix and a numerical failure
-    is raised.
+    ``m`` is a square matrix or a :class:`MatrixPowers`, whose cached ranks
+    are then reused; the decision rule is that of :meth:`MatrixPowers.ranges`.
     """
-    powers = _as_powers(m)
-    cutoff = tol.rank_cutoff(powers.m.shape)
-    smax = float(powers.singular_values(1)[0])
-    ranks = [powers.n]  # rank of m**0
-    reference = 1.0
-    for k in range(1, powers.n + 2):
-        reference *= smax
-        s = powers.singular_values(k)
-        # roundoff in k chained products grows like k * eps * sigma_max**k;
-        # m itself is exact
-        floor = cutoff * (k + 1) * reference if k > 1 else 0.0
-        ranks.append(int(np.count_nonzero(s > max(cutoff * s[0], floor))))
-        if ranks[-1] == ranks[-2]:
-            return ranks
-    raise NumericalFailureError(
-        "rank sequence did not stabilize within the matrix dimension; "
-        "the rank cutoff is inconsistent for this matrix"
-    )
+    return list(_as_powers(m).ranges(tol)[0])
 
 
 def index_power(m, tol: TolerancePolicy = DEFAULT_TOLERANCES):
-    """``(k, m**k, rank(m**k))`` for the matrix index ``k``, from one pass over
-    the powers of ``m`` (see :func:`power_ranks`).
+    """``(k, m**k, rank(m**k))`` for the matrix index ``k`` (see
+    :func:`power_ranks`).
 
-    ``m`` is a square matrix or a :class:`MatrixPowers`, whose cached powers
+    ``m`` is a square matrix or a :class:`MatrixPowers`, whose cached ranks
     are then reused.  A numerically-zero power snaps to the exact zero matrix.
     """
     powers = _as_powers(m)
@@ -232,12 +240,12 @@ def index_power(m, tol: TolerancePolicy = DEFAULT_TOLERANCES):
     k, rho = len(ranks) - 2, ranks[-1]
     if rho == 0:
         return k, np.zeros_like(powers.m), 0
-    return k, powers.power(k), rho
+    return k, np.linalg.matrix_power(powers.m, k), rho
 
 
 def matrix_index(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     """Smallest k >= 0 with rank(m**(k+1)) == rank(m**k); see :func:`power_ranks`."""
-    return index_power(m, tol)[0]
+    return len(power_ranks(m, tol)) - 2
 
 
 def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDecomposition:
@@ -248,17 +256,19 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     ``rho = rank(m**k)``), ``s_block`` and nilpotent ``n_block`` with
     ``m = u @ [[t, s], [0, n]] @ u.T``.
 
-    ``k``, ``m**k`` and ``rho`` come from :func:`index_power`, and the first
-    ``rho`` left singular vectors of ``m**k`` are an orthonormal basis of its
-    column space.  That space is invariant under ``m``, so ``m`` is block
-    upper triangular in the basis; no eigenvalues are computed and no second
-    rank decision is made.  Real Schur forms of the two diagonal blocks then
-    make ``t`` quasi-triangular and ``n_block`` strictly triangular.
+    ``k``, ``rho`` and an orthonormal basis of the column space of ``m**k``
+    come from :meth:`MatrixPowers.ranges`, and a QR factorization completes
+    that basis to ``u``.  The space is invariant under ``m``, so ``m`` is
+    block upper triangular in the basis; no eigenvalues are computed, no
+    power is formed and no second rank decision is made.  Real Schur forms of
+    the two diagonal blocks then make ``t`` quasi-triangular and ``n_block``
+    strictly triangular.
     """
-    a = as_square(m)
-    n = a.shape[0]
-    k, ak, rho = index_power(a, tol)
-    u = np.eye(n) if rho in (0, n) else _svd(ak, compute_uv=True)[0]
+    powers = MatrixPowers(m)
+    a, n = powers.m, powers.n
+    ranks, bases = powers.ranges(tol)
+    k, rho = len(ranks) - 2, ranks[-1]
+    u = np.eye(n) if rho in (0, n) else np.linalg.qr(bases[k], mode="complete")[0]
     q1, q2 = u[:, :rho], u[:, rho:]
     t, v = _real_schur(q1.T @ a @ q1)
     q1 = q1 @ v
@@ -272,17 +282,16 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
 
 
 def core_ep_via_decomposition(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Core-EP inverse assembled as ``u @ [[t^-1, 0], [0, 0]] @ u.T``."""
-    dec = core_ep_decompose(m, tol)
-    n = dec.u.shape[0]
-    rho = dec.rho
-    core = np.zeros((n, n))
-    if rho:
-        try:
-            core[:rho, :rho] = np.linalg.inv(dec.t)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"nonsingular block inversion failed: {exc}") from exc
-    return dec.u @ core @ dec.u.T
+    """Core-EP inverse from the core-EP decomposition,
+    ``u @ [[t^-1, 0], [0, 0]] @ u.T`` (see :func:`core_ep_decompose`).
+
+    With B the first ``rho`` columns of ``u``, an orthonormal basis of the
+    column space of ``m**k``, that is ``B (B^T m B)^-1 B^T`` whatever the
+    basis, so it is computed as such (:meth:`MatrixPowers.core_ep_apply`):
+    the Schur forms that tidy ``t`` and ``n_block`` do not change it.
+    """
+    powers = MatrixPowers(m)
+    return powers.core_ep_apply(np.eye(powers.n), tol)
 
 
 def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -294,13 +303,17 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     :class:`MatrixPowers`.
     """
     powers = _as_powers(m)
-    k, ak, rho = index_power(powers, tol)
-    if rho == 0:
+    ranks = power_ranks(powers, tol)
+    if ranks[-1] == 0:
         return np.zeros_like(powers.m)  # nilpotent: empty nonsingular part
-    # The formula is unchanged by scaling A^k; unit scale keeps the products finite.
-    ak = ak / powers.singular_values(k)[0]
-    inner = ak.T @ ak @ powers.m  # (A^T)^k A^(k+1)
-    return ak @ moore_penrose(inner, tol) @ ak.T
+    # The formula is unchanged by scaling A^k and scales as 1/c with A; at
+    # unit scale the products stay finite.
+    c = np.abs(powers.m).max()
+    a = powers.m / c
+    ak = np.linalg.matrix_power(a, len(ranks) - 2)
+    ak = ak / np.abs(ak).max()
+    inner = ak.T @ ak @ a  # (A^T)^k A^(k+1)
+    return ak @ moore_penrose(inner, tol) @ ak.T / c
 
 
 def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -311,7 +324,7 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     against equation (1), ``A X A = A``.
     """
     powers = _as_powers(m)
-    k = index_power(powers, tol)[0]
+    k = matrix_index(powers, tol)
     if k > 1:
         raise IndexTooLargeError(f"core inverse requires matrix index <= 1, got {k}")
     a = powers.m

@@ -319,21 +319,45 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["overall"] == "strong"
 
 
-def test_closed_stdout_exits_quietly():
-    # the reader of the report is gone before it is written
+def _run_with_closed_stdout(args):
+    """Run ``args`` with PYTHONPATH at the source tree, stdout block-buffered
+    and a pipe whose reader is gone before anything is written; return (exit
+    code, stderr)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fuzzylinsys", "solve", str(FIXTURES / "consistent_3x3.json")],
-        stdout=write_end, stderr=subprocess.PIPE, env=env,
-    )
+    proc = subprocess.Popen(args, stdout=write_end, stderr=subprocess.PIPE, env=env)
     os.close(write_end)
     os.close(read_end)
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == EXIT_BROKEN_PIPE
+    return proc.returncode, err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of the report is gone before it is written
+    code, err = _run_with_closed_stdout(
+        [sys.executable, "-m", "fuzzylinsys", "solve", str(FIXTURES / "consistent_3x3.json")])
+    assert code == EXIT_BROKEN_PIPE
     assert err == b""
+
+
+def test_closed_stdout_keeps_the_error_code():
+    # a failure after part of the output was written keeps its own exit code
+    script = (
+        "import sys\n"
+        "from fuzzylinsys import cli, fls\n"
+        "def solve(*args, **kwargs):\n"
+        "    print('partial report')\n"
+        "    raise cli.NumericalFailureError('late failure')\n"
+        "fls.solve = solve\n"
+        "sys.exit(cli.main(['solve', sys.argv[1]]))\n"
+    )
+    code, err = _run_with_closed_stdout(
+        [sys.executable, "-c", script, str(FIXTURES / "consistent_3x3.json")])
+    assert code == EXIT_NUMERICAL
+    assert err == b"error: late failure\n"
 
 
 def test_solve_does_not_import_scipy_linalg():

@@ -24,6 +24,7 @@ from fuzzylinsys import (
     matrix_power,
     moore_penrose,
     one_three_inverse,
+    power_ranks,
     rank,
 )
 
@@ -204,14 +205,33 @@ class TestMatrixIndex:
 
     def test_roundoff_in_high_powers_is_not_rank(self):
         # Indices up to n: roundoff left in the null space of A^k can exceed
-        # n * eps * sigma_max(A^k), but not the roundoff floor of the chained
-        # product, n * eps * (k + 1) * sigma_max(A)^k.
+        # n * eps * sigma_max(A^k), but not n * eps * k * sigma_max(A) on
+        # A B, B a basis of the column space of A^(k-1).
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = int(rng.integers(4, 9))
             k = int(rng.integers(2, n + 1))
             m = index_matrix(rng, n, k)
             assert matrix_index(m) == k
+
+    def test_non_normal_core_keeps_its_rank(self):
+        # A = diag(J, 0), J = [[1, 1e5], [0, 1]] of condition 1e10: A^2 is
+        # exact, with singular values 2e5 and 5e-6, and its rank is 2 although
+        # 5e-6 lies far under eps * sigma_max(A)^2.
+        m = np.zeros((3, 3))
+        m[:2, :2] = [[1.0, 1e5], [0.0, 1.0]]
+        assert power_ranks(m) == [3, 2, 2]
+        assert matrix_index(m) == 1
+        dec = core_ep_decompose(m)
+        assert (dec.k, dec.rho) == (1, 2)
+        expected = np.zeros((3, 3))
+        expected[:2, :2] = [[1.0, -1e5], [0.0, 1.0]]  # J^-1
+        np.testing.assert_allclose(core_ep_via_decomposition(m), expected, rtol=1e-9, atol=1e-6)
+
+    def test_symmetric_index_at_most_one(self):
+        # Hilbert(12): ill-conditioned, symmetric, so col(H^k) = col(H)
+        i = np.arange(12)
+        assert matrix_index(1.0 / (i[:, None] + i[None, :] + 1.0)) <= 1
 
     def test_requires_square(self):
         with pytest.raises(DimensionMismatchError):
@@ -325,6 +345,16 @@ class TestCoreEpRoutes:
         expected = [[1e-110, 0.0], [0.0, 0.0]]
         np.testing.assert_allclose(core_ep_via_formula(m), expected, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(core_ep_via_decomposition(m), expected, rtol=1e-12, atol=0.0)
+
+    def test_high_index_at_huge_scale(self):
+        # sigma_max(A)^4 overflows at this scale; no route forms that power
+        m = index_matrix(np.random.default_rng(1), 6, 4)
+        expected = core_ep_via_formula(m) / 1e100
+        with np.errstate(over="raise", invalid="raise"):
+            assert matrix_index(1e100 * m) == 4
+            for route in (core_ep_via_formula, core_ep_via_decomposition):
+                np.testing.assert_allclose(route(1e100 * m), expected, rtol=0.0,
+                                           atol=1e-12 * np.abs(expected).max())
 
 
 class TestCoreInverse:

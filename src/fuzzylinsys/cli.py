@@ -44,7 +44,7 @@ _METHOD_FLAGS = {
 }
 
 _INVERSE_KINDS = {
-    "core-ep": ginv.core_ep_via_formula,
+    "core-ep": ginv.core_ep_via_decomposition,
     "core": ginv.core_inverse,
     "moore-penrose": ginv.moore_penrose,
 }

@@ -15,7 +15,8 @@ half-block's own rank sequence is the only rank decision; classification,
 the membership test and the solve then read their answers from one
 orthonormal basis B per half-block power, and ``M^ce = B (B^T M B)^-1 B^T``
 with B a basis of ``col(M**k)`` (Wang's core-EP decomposition).  No 2n x 2n
-matrix is factorized.
+matrix is formed or factorized: products with S go through the half-blocks
+too.
 """
 
 from dataclasses import dataclass, field
@@ -78,9 +79,9 @@ class FlsProblem:
 
 @dataclass
 class AssociatedSystem:
-    """The embedded crisp system ``S X(r) = y0 + r*y1``."""
+    """The embedded crisp system ``S X(r) = y0 + r*y1``, built by
+    :func:`build_associated`."""
 
-    s: np.ndarray
     d: np.ndarray
     e: np.ndarray
     y0: np.ndarray
@@ -90,6 +91,12 @@ class AssociatedSystem:
     def n(self) -> int:
         """Order of the original fuzzy system (S is 2n x 2n)."""
         return self.d.shape[0]
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """``S = [[D, E], [E, D]]``, formed on first read; the solver itself
+        works on :attr:`halves` and never reads it."""
+        return np.block([[self.d, self.e], [self.e, self.d]])
 
     @cached_property
     def halves(self) -> tuple[ginv.MatrixPowers, ginv.MatrixPowers]:
@@ -136,7 +143,6 @@ def build_associated(problem: FlsProblem) -> AssociatedSystem:
     a = problem.a
     d = np.maximum(a, 0.0)
     e = np.maximum(-a, 0.0)
-    s = np.block([[d, e], [e, d]])
     y0 = np.array(
         [fn.lower.c0 for fn in problem.y] + [-fn.upper.c0 for fn in problem.y],
         dtype=float,
@@ -145,7 +151,7 @@ def build_associated(problem: FlsProblem) -> AssociatedSystem:
         [fn.lower.c1 for fn in problem.y] + [-fn.upper.c1 for fn in problem.y],
         dtype=float,
     )
-    return AssociatedSystem(s=s, d=d, e=e, y0=y0, y1=y1)
+    return AssociatedSystem(d=d, e=e, y0=y0, y1=y1)
 
 
 def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Classification:
@@ -164,10 +170,9 @@ def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -
     index_s = max(len(ranks) - 2 for ranks, _ in ranges)
     y = np.column_stack([sys.y0, sys.y1])
     rank_aug = rank_s + _residual_rank(_outside([b[1] for _, b in ranges], y), y, tol)
-    size = sys.s.shape[0]
     if rank_s < rank_aug:
         kind = INCONSISTENT
-    elif rank_s == size:
+    elif rank_s == 2 * sys.n:
         kind = CONSISTENT_UNIQUE
     else:
         kind = CONSISTENT_INFINITE
@@ -237,7 +242,7 @@ def solve(
     x = _from_halves(*(h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, _to_halves(y))))
     x0, x1 = x.T.copy()
 
-    sx = sys.s @ x
+    sx = _s_apply(sys, x)
     if member:
         residual = _max_over_r(sx - y)
         scale = max(1.0, _max_over_r(y))
@@ -281,7 +286,7 @@ def verify_solution(
     if report.is_generalized:
         rhs = rhs - _outside(_bases(sys, tol), rhs)
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
-    return _max_over_r(sys.s @ x - rhs)
+    return _max_over_r(_s_apply(sys, x) - rhs)
 
 
 def _to_halves(v: np.ndarray):
@@ -293,6 +298,11 @@ def _to_halves(v: np.ndarray):
 def _from_halves(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``[p + q; p - q] / 2``: the inverse of :func:`_to_halves`, ``Q [p; q] / sqrt(2)``."""
     return 0.5 * np.concatenate([p + q, p - q])
+
+
+def _s_apply(sys: AssociatedSystem, x: np.ndarray) -> np.ndarray:
+    """``S x`` through the half-blocks, ``Q diag(|A|, A) Q x``: S is not formed."""
+    return _from_halves(*(h.m @ xi for h, xi in zip(sys.halves, _to_halves(x))))
 
 
 def _bases(sys: AssociatedSystem, tol: TolerancePolicy):

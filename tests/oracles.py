@@ -8,7 +8,9 @@ judges every rank on the scale of S (order 2n, ``sigma_max(S)``) and decides
 the augmented rank and membership by separate SVD and least-squares cutoffs;
 the solver makes one rank decision per half-block, on that block's own
 scale, and reads the rest from it.  ``||A||_F = || |A| ||_F``, so the two
-scales differ by at most a factor ``2 sqrt(n)``.
+scales differ by at most a factor ``2 sqrt(n)``.  The range staircase with an
+SVD at every step gives the rank sequences that the solver's certified
+staircase must reproduce.
 """
 
 from fractions import Fraction
@@ -86,6 +88,33 @@ def exact_index(s) -> int:
 def exact_in_colspace(sk, y) -> bool:
     augmented = [row + [yi] for row, yi in zip(sk, y)]
     return exact_rank(augmented) == exact_rank(sk)
+
+
+def svd_staircase_ranks(m, tol=DEFAULT_TOLERANCES) -> list[int]:
+    """Ranks of ``m**0, m**1, ...`` up to the first repeat by the range
+    staircase with an SVD at every step: the rank of ``m**j`` counts the
+    singular values of ``m B`` above ``j * cutoff * sigma_max(m)``, B an
+    orthonormal basis of ``col(m**(j-1))`` taken from the left singular
+    vectors where the rank dropped.  The solver decides the same ranks but
+    skips the SVD where a lower bound on the smallest singular value
+    already clears that floor."""
+    a = np.asarray(m, dtype=float)
+    n = a.shape[0]
+    cutoff = tol.rank_cutoff(a.shape)
+    ranks, b = [n], np.eye(n)
+    for j in range(1, n + 2):
+        r = 0
+        if ranks[-1]:
+            s = np.linalg.svd(a @ b, compute_uv=False)
+            if j == 1:
+                smax = s[0]
+            r = int(np.count_nonzero(s > j * cutoff * smax))
+            if r < ranks[-1]:
+                b = np.linalg.svd(a @ b, full_matrices=False)[0][:, :r]
+        ranks.append(r)
+        if r == ranks[-2]:
+            return ranks
+    raise AssertionError("rank sequence did not stabilize; oracle bug")
 
 
 def classify_2n(sys, tol=DEFAULT_TOLERANCES) -> Classification:

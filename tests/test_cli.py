@@ -240,6 +240,20 @@ class TestInverseCommand:
         np.testing.assert_allclose(got, [[1e-110, 0.0], [0.0, 0.0]], rtol=1e-6, atol=0.0)
         assert "index = 1" in out
 
+    def test_ill_conditioned_non_normal(self, capsys, tmp_path):
+        # A = diag(J, 0), J = [[1, 1e5], [0, 1]]: the core-EP formula squares
+        # cond(J) = 1e10 and loses a real singular value; both kinds must
+        # print diag(J^-1, 0)
+        doc = tmp_path / "m.json"
+        doc.write_text(json.dumps({"a": [[1, 1e5, 0], [0, 1, 0], [0, 0, 0]]}))
+        for kind in ("core-ep", "core"):
+            code, out, err = run_cli(capsys, "inverse", str(doc), "--kind", kind)
+            assert code == EXIT_OK and err == ""
+            rows = [line.split() for line in out.splitlines()[1:] if line.strip()]
+            got = np.array([[float(v) for v in row] for row in rows])
+            np.testing.assert_allclose(got, [[1, -1e5, 0], [0, 1, 0], [0, 0, 0]],
+                                       rtol=1e-6, atol=1e-6)
+
     def test_core_on_index_two_matrix(self, capsys, tmp_path):
         doc = tmp_path / "m.json"
         doc.write_text(json.dumps({"a": [[0, 1, 1, 0], [0, 1, 1, 0],

@@ -20,6 +20,7 @@ from fuzzylinsys import (
     METHOD_2II,
     METHOD_CORE_EP,
     METHOD_INVERSE,
+    AssociatedSystem,
     DimensionMismatchError,
     FlsProblem,
     IndexTooLargeError,
@@ -483,6 +484,35 @@ class TestHalfBlockRoute:
             verify_solution(build_associated(problem), report)
             assert not [s for s in shapes if s[0] == "lstsq"]
             assert shapes and not [s for s in shapes if s[1][0] == 2 * n]
+
+    def test_no_matrix_factorized_twice(self, monkeypatch):
+        # A nonsingular solve takes no SVD: an LU bound certifies the full
+        # rank of both half-blocks.  A singular one takes each SVD once, with
+        # vectors, where the rank of a power drops.  Neither forms S.
+        seen = []
+        original = np.linalg.svd
+
+        def recording(m, *args, **kwargs):
+            seen.append((m.shape, m.tobytes()))
+            return original(m, *args, **kwargs)
+
+        def not_formed(self):
+            raise AssertionError("S was formed")
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(AssociatedSystem, "s", property(not_formed))
+        rng = np.random.default_rng(55)
+        for k in (0, 2):
+            seen.clear()
+            a, y0, y1 = block_triangular_system(rng, 16, k, False)
+            problem = stacked_problem(a, y0, y1)
+            report = solve(problem)
+            assert report.classification.index_s == k
+            assert len(seen) == len(set(seen))
+            if k == 0:
+                assert seen == []
+                assert report.classification.kind == CONSISTENT_UNIQUE
+            verify_solution(build_associated(problem), report)
 
     def test_gesdd_non_convergence_is_recovered(self):
         # the core-EP inverse of the A block needs the SVD that gesdd fails on

@@ -8,7 +8,7 @@ from matgen import (
     index_matrix_suite,
     random_orthogonal,
 )
-from oracles import exact_rank
+from oracles import exact_rank, svd_staircase_ranks
 
 from fuzzylinsys import (
     DimensionMismatchError,
@@ -237,6 +237,18 @@ class TestMatrixIndex:
         with pytest.raises(DimensionMismatchError):
             matrix_index(np.zeros((2, 3)))
 
+    def test_certified_ranks_match_svd_staircase(self):
+        # A rank kept on an LU bound, without an SVD, is the rank the SVD
+        # would have given, at every scale and on ill-conditioned matrices
+        i = np.arange(12)
+        non_normal = np.zeros((3, 3))
+        non_normal[:2, :2] = [[1.0, 1e5], [0.0, 1.0]]
+        cases = [scale * m for m, _, _ in index_matrix_suite()
+                 for scale in (1.0, 1e-150, 1e150)]
+        cases += [1.0 / (i[:, None] + i[None, :] + 1.0), non_normal, gesdd_failure_case()[0]]
+        for m in cases:
+            assert power_ranks(m) == svd_staircase_ranks(m)
+
 
 class TestCoreEpDecompose:
     def test_worked_inconsistent_system(self, inconsistent_2x2):
@@ -356,6 +368,17 @@ class TestCoreEpRoutes:
                 np.testing.assert_allclose(route(1e100 * m), expected, rtol=0.0,
                                            atol=1e-12 * np.abs(expected).max())
 
+    def test_checks_hold_at_extreme_scales(self):
+        # The reconstruction and equation-(1) checks take norms of matrices
+        # whose squared entries leave the double range; numpy's overflow
+        # warnings are errors in this suite.
+        m = index_matrix(np.random.default_rng(24), 5, 1)
+        for scale in (1e200, 1e-200):
+            dec = core_ep_decompose(scale * m)
+            assert (dec.k, dec.rho) == index_power(m)[::2]
+            np.testing.assert_allclose(core_inverse(scale * m) * scale,
+                                       core_ep_via_decomposition(m), rtol=1e-9, atol=1e-9)
+
 
 class TestCoreInverse:
     def test_worked_system(self, consistent_2x2):
@@ -376,9 +399,19 @@ class TestCoreInverse:
             n = int(rng.integers(2, 6))
             m = index_matrix(rng, n, 1)
             x = core_inverse(m)
-            np.testing.assert_array_equal(x, core_ep_via_formula(m))
+            np.testing.assert_array_equal(x, core_ep_via_decomposition(m))
+            np.testing.assert_allclose(x, core_ep_via_formula(m), atol=EQ_TOL)
             scale = 1.0 + np.linalg.norm(m)
             assert np.linalg.norm(m @ x @ m - m) <= EQ_TOL * scale
+
+    def test_ill_conditioned_non_normal(self):
+        # A = diag(J, 0), J = [[1, 1e5], [0, 1]] of condition 1e10, index 1:
+        # the core inverse is diag(J^-1, 0)
+        m = np.zeros((3, 3))
+        m[:2, :2] = [[1.0, 1e5], [0.0, 1.0]]
+        expected = np.zeros((3, 3))
+        expected[:2, :2] = [[1.0, -1e5], [0.0, 1.0]]
+        np.testing.assert_allclose(core_inverse(m), expected, rtol=1e-9, atol=1e-6)
 
 
 class TestInColumnSpace:

@@ -137,11 +137,12 @@ def cmd_inverse(args) -> int:
     a = load_matrix(args.input)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"inverse requires a square matrix, got {a.shape}")
-    x = _INVERSE_KINDS[args.kind](a)
+    powers = ginv.MatrixPowers(a)  # one staircase for the inverse and the decomposition
+    x = _INVERSE_KINDS[args.kind](powers.m if args.kind == "moore-penrose" else powers)
     print(f"{args.kind} inverse ({a.shape[0]}x{a.shape[1]}):")
     print(format_matrix(x, args.precision))
     if args.show_decomposition:
-        dec = ginv.core_ep_decompose(a)
+        dec = ginv.core_ep_decompose(powers)
         print(f"\ncore-EP decomposition (index = {dec.k}):")
         for name, block in (("U", dec.u), ("T", dec.t),
                             ("S-block", dec.s_block), ("N", dec.n_block)):

@@ -59,6 +59,8 @@ METHOD_2I = "Method2-i"
 METHOD_2II = "Method2-ii"
 _METHODS = (METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I, METHOD_2II)
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass
 class FlsProblem:
@@ -104,6 +106,17 @@ class AssociatedSystem:
         range bases of their powers, shared by every stage that asks about
         this system; built on first use."""
         return ginv.MatrixPowers(self.d + self.e), ginv.MatrixPowers(self.d - self.e)
+
+    @cached_property
+    def _rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(y, peak, size)``: the generators ``y = [y0 y1]``, the largest
+        entry of each (raised to the smallest normal float, so that a zero
+        one divides by that) and the norm of each divided by it: the scale on
+        which every residual of this system is judged (:func:`_residual_rank`);
+        built on first use."""
+        y = np.column_stack([self.y0, self.y1])
+        peak = np.maximum(np.abs(y).max(axis=0), _TINY)
+        return y, peak, np.linalg.norm(y / peak, axis=0)
 
 
 @dataclass(frozen=True)
@@ -168,8 +181,8 @@ def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -
     ranges = [h.ranges(tol) for h in sys.halves]
     rank_s = sum(ranks[1] for ranks, _ in ranges)
     index_s = max(len(ranks) - 2 for ranks, _ in ranges)
-    y = np.column_stack([sys.y0, sys.y1])
-    rank_aug = rank_s + _residual_rank(_outside([b[1] for _, b in ranges], y), y, tol)
+    y = sys._rhs[0]
+    rank_aug = rank_s + _residual_rank(_outside([b[1] for _, b in ranges], y), sys, tol)
     if rank_s < rank_aug:
         kind = INCONSISTENT
     elif rank_s == 2 * sys.n:
@@ -227,10 +240,10 @@ def solve(
     sys = build_associated(problem)
     cls = classify(sys, tol)
     k = cls.index_s
-    y = np.column_stack([sys.y0, sys.y1])
+    y = sys._rhs[0]
     bases = _bases(sys, tol)
     outside = _outside(bases, y)
-    member = _residual_rank(outside, y, tol) == 0
+    member = _residual_rank(outside, sys, tol) == 0
 
     if method is None:
         method = METHOD_INVERSE if k == 0 else METHOD_CORE_EP if member else METHOD_2I
@@ -244,9 +257,9 @@ def solve(
 
     sx = _s_apply(sys, x)
     if member:
-        residual = _max_over_r(sx - y)
-        scale = max(1.0, _max_over_r(y))
-        if residual > tol.residual_tol * scale:
+        g = sx - y
+        residual = _max_over_r(g)
+        if _residual_rank(g, sys, tol):
             raise NumericalFailureError(
                 f"exact route left residual {residual:.3e}; membership test and "
                 "solution disagree under the tolerance policy"
@@ -282,7 +295,7 @@ def verify_solution(
     consistent system, P the orthogonal projector onto the column space of
     ``S**k`` that :func:`solve` uses (equal to ``S^k (S^k)^(1,3)``).
     """
-    rhs = np.column_stack([sys.y0, sys.y1])
+    rhs = sys._rhs[0]
     if report.is_generalized:
         rhs = rhs - _outside(_bases(sys, tol), rhs)
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
@@ -318,15 +331,22 @@ def _outside(bases, y: np.ndarray) -> np.ndarray:
     return _from_halves(*(w - b @ (b.T @ w) for b, w in zip(bases, _to_halves(y))))
 
 
-def _residual_rank(g: np.ndarray, y: np.ndarray, tol: TolerancePolicy) -> int:
-    """Rank of the residual ``g = (I - P) y`` of the two generators.
+def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -> int:
+    """Rank of a residual g of the two generators y of ``sys``, such as
+    ``(I - P) y`` or ``S x - y``.
 
-    A column within ``residual_tol * max(1, ||y||)`` of its generator counts
-    as zero.  Those are dropped first: with both left, the second counts only
-    by its part orthogonal to the first (``R[1, 1]`` of a QR of g), so an
-    in-bound roundoff residual never hides a real one parallel to it.
+    A column within ``residual_tol * ||y_i||`` of its generator ``y_i`` counts
+    as zero, both norms taken on the scale of ``sys._rhs``: each column
+    divided by the largest entry of its generator.  So every decision is
+    relative to the generator alone, whatever its scale, no norm overflows or
+    underflows, and a zero generator, whose residual is zero, gets the bound
+    0.  Those are dropped first: with both left, the second counts only by its
+    part orthogonal to the first (``R[1, 1]`` of a QR of g), so an in-bound
+    roundoff residual never hides a real one parallel to it.
     """
-    bound = tol.residual_tol * np.maximum(1.0, np.linalg.norm(y, axis=0))
+    _, peak, size = sys._rhs
+    g = g / peak
+    bound = tol.residual_tol * size
     norms = np.linalg.norm(g, axis=0)
     if not np.all(norms > bound):
         return int(np.count_nonzero(norms > bound))

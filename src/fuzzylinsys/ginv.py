@@ -4,12 +4,13 @@ Provides a numerical rank with an explicit cutoff policy, the Moore-Penrose
 inverse, the matrix index, the core and core-EP inverses (the latter by two
 independent routes), and column-space membership tests.  All functions are
 pure: they take plain ``numpy`` arrays and return new arrays.  The index
-search, the core-EP formula and the core inverse also take a
-:class:`MatrixPowers`, so that callers asking several questions of one matrix
-decide the ranks of its powers, and find the orthonormal bases of their
-column spaces, once.
+search, the core-EP decomposition, both core-EP routes and the core inverse
+also take a :class:`MatrixPowers`, so that callers asking several questions
+of one matrix decide the ranks of its powers, and find the orthonormal bases
+of their column spaces, once.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,11 @@ class TolerancePolicy:
 
     ``rank_rel_tol`` is the relative singular-value cutoff deciding rank;
     ``None`` means the usual shape-dependent default ``max(rows, cols) * eps``.
-    ``residual_tol`` bounds residuals in membership and consistency checks,
-    and ``equality_tol`` bounds matrix-equality comparisons.
+    ``residual_tol`` bounds residuals in membership and consistency checks
+    relative to the vector y they are residuals of, ``residual_tol * ||y||``
+    with both norms taken on y scaled to unit largest entry: a purely relative
+    bound, with no absolute floor.  ``equality_tol`` bounds matrix-equality
+    comparisons.
     """
 
     rank_rel_tol: float | None = None
@@ -160,45 +164,59 @@ class MatrixPowers:
         repeat, and an orthonormal basis of the column space of each power.
 
         The column space of ``m**j`` is ``m`` applied to that of
-        ``m**(j-1)``, so with B the basis of the latter, the thin SVD of
-        ``m @ B`` gives both the rank of ``m**j`` and its basis.  The singular
-        values count only above ``j * cutoff * sigma_max(m)``, the size of the
-        roundoff in m and in the j products behind ``m @ B``: a perturbation
-        of m that small could remove the ones below.  So the decision is
-        scale-free, like the rank of m itself, and is never made against
-        ``sigma_max(m)**j``, which can lie far above the real singular values
-        of a power of a non-normal m.
+        ``m**(j-1)``, so with B the basis of the latter, the singular values of
+        ``m @ B`` give the rank of ``m**j`` and their vectors its basis.  The
+        singular values count only above ``j * cutoff * sigma_max(m)``, the
+        size of the roundoff in m and in the j products behind ``m @ B``: a
+        perturbation of m that small could remove the ones below.  So the
+        decision is scale-free, like the rank of m itself, and is never made
+        against ``sigma_max(m)**j``, which can lie far above the real singular
+        values of a power of a non-normal m.
 
-        Before any SVD, a certificate is tried: ``sigma_min(m @ B) >=
-        sigma_min(B^T m B) >= 1 / ||(B^T m B)^-1||_F``, from one LU-based
-        inverse (of m itself at j = 1).  When that bound clears the floor
-        10 times over (``||m||_F`` standing in for ``sigma_max(m)`` at j = 1),
-        the rank stays and the previous basis spans the same space, with no
-        SVD.  Otherwise one SVD with vectors decides and, where the rank
-        dropped, gives the basis the next step needs.  So a nonsingular m
-        takes one inverse (at n = 128, about half the time of a values-only
-        SVD and a fifth of one with vectors) and each drop one inverse and one
-        SVD; a matrix whose bound lies within 10 times the floor pays both
-        although its rank holds.  Always terminates with
-        j <= n + 1 in exact arithmetic; if the rank sequence has not
-        stabilized by then the tolerance policy is inconsistent with the
-        matrix and a numerical failure is raised.
+        For j >= 2 the space ``col(m**(j-1))`` contains ``col(m**j)``, so
+        ``m @ B = B C`` with the core ``C = B^T m B`` of order ``rank(m**(j-1))``,
+        up to roundoff inside the floor: C has the singular values of
+        ``m @ B``, and where the rank drops to r, ``B U_r`` (U from the SVD of
+        C) is the next basis.  At j = 1, B = I and C is m itself.
+
+        Before any SVD, C is certified by :func:`_clears`, a Cholesky
+        factorization of its shifted Gram matrix (Rump, "Verification of
+        positive definiteness", BIT 46, 2006) that proves ``sigma_min(C)``
+        clears the floor 10 times over; ``||m||_F`` stands in for
+        ``sigma_max(m)`` at j = 1.  Then the rank stays and the previous
+        basis spans the same space, with no SVD.  Otherwise one SVD with
+        vectors of C decides and, where the rank dropped, gives the basis the
+        next step needs.  So a nonsingular m takes one Gram product and one
+        Cholesky factorization and each drop those and one SVD of an r x r
+        core.  The certificate needs ``sigma_min(C) / ||C||_F`` above about
+        ``sqrt(3 (r + 2) eps)`` (3e-7 at r = 128, a condition of about
+        1e6); a core between that and 10 times the floor pays an SVD although
+        its rank holds.  The last step's core, ``B^T m B`` at the index, is
+        kept for :meth:`core_ep_apply`.  Always terminates with j <= n + 1 in
+        exact arithmetic; if the rank sequence has not stabilized by then the
+        tolerance policy is inconsistent with the matrix and a numerical
+        failure is raised.
         """
-        if tol not in self._ranges:
-            self._ranges[tol] = self._staircase(tol)
-        return self._ranges[tol]
+        return self._steps(tol)[:2]
 
     def core_ep_apply(self, w, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
         """``m^ce @ w`` as ``B (B^T m B)^-1 B^T w``, B the basis of the column
-        space of ``m**k`` at the index k (Wang's core-EP decomposition); at
-        index 0, B = I and this is ``solve(m, w)``."""
-        b = self.ranges(tol)[1][-2]
+        space of ``m**k`` at the index k (Wang's core-EP decomposition), with
+        the core ``B^T m B`` that :meth:`ranges` kept; at index 0, B = I and
+        this is ``solve(m, w)``."""
+        _, bases, core = self._steps(tol)
+        b = bases[-2]
         try:
             if b.shape[1] == self.n:
                 return np.linalg.solve(self.m, w)
-            return b @ np.linalg.solve(b.T @ self.m @ b, b.T @ w)
+            return b @ np.linalg.solve(core, b.T @ w)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
+
+    def _steps(self, tol: TolerancePolicy):
+        if tol not in self._ranges:
+            self._ranges[tol] = self._staircase(tol)
+        return self._ranges[tol]
 
     def _staircase(self, tol: TolerancePolicy):
         cutoff = tol.rank_cutoff(self.m.shape)
@@ -207,24 +225,25 @@ class MatrixPowers:
         ranks, bases = [self.n], [eye]
         smax = _frobenius(self.m)  # >= sigma_max(m); step 1's SVD replaces it
         for j in range(1, self.n + 2):
-            r, b = 0, bases[-1]  # a power after a zero power is zero
+            # a power after a zero power is zero
+            r, b, core = 0, bases[-1], np.zeros((0, 0))
             if ranks[-1]:
-                c = self.m if j == 1 else self.m @ b
-                # sigma_min(m B) >= sigma_min(B^T m B): a certified rank holds
-                if _clears(c if j == 1 else b.T @ c, j * cutoff * smax):
+                # col(m B) lies in col(B) for j >= 2, so m B = B core
+                core = self.m if j == 1 else b.T @ (self.m @ b)
+                if _clears(core, j * cutoff * smax):
                     r = ranks[-1]
                 else:
-                    u, s, _ = _svd(c, compute_uv=True)
+                    u, s, _ = _svd(core, compute_uv=True)
                     if j == 1:
                         smax = s[0]
                     r = int(np.count_nonzero(s > j * cutoff * smax))
                     if r < ranks[-1]:  # the next power needs this one's basis
-                        b = u[:, :r]
+                        b = u[:, :r] if j == 1 else b @ u[:, :r]
                         b.flags.writeable = False
             ranks.append(r)
             bases.append(b)
             if r == ranks[-2]:
-                return ranks, bases
+                return ranks, bases, core
         raise NumericalFailureError(
             "rank sequence did not stabilize within the matrix dimension; "
             "the rank cutoff is inconsistent for this matrix"
@@ -275,9 +294,10 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     block upper triangular in the basis; no eigenvalues are computed, no
     power is formed and no second rank decision is made.  Real Schur forms of
     the two diagonal blocks then make ``t`` quasi-triangular and ``n_block``
-    strictly triangular.
+    strictly triangular.  ``m`` is a square matrix or a
+    :class:`MatrixPowers`, whose cached staircase is then reused.
     """
-    powers = MatrixPowers(m)
+    powers = _as_powers(m)
     a, n = powers.m, powers.n
     ranks, bases = powers.ranges(tol)
     k, rho = len(ranks) - 2, ranks[-1]
@@ -301,9 +321,10 @@ def core_ep_via_decomposition(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> n
     With B the first ``rho`` columns of ``u``, an orthonormal basis of the
     column space of ``m**k``, that is ``B (B^T m B)^-1 B^T`` whatever the
     basis, so it is computed as such (:meth:`MatrixPowers.core_ep_apply`):
-    the Schur forms that tidy ``t`` and ``n_block`` do not change it.
+    the Schur forms that tidy ``t`` and ``n_block`` do not change it.  ``m``
+    is a square matrix or a :class:`MatrixPowers`.
     """
-    powers = MatrixPowers(m)
+    powers = _as_powers(m)
     return powers.core_ep_apply(np.eye(powers.n), tol)
 
 
@@ -360,17 +381,22 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
 def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     """Whether ``y`` lies in the column space of ``m``.
 
-    Decided by the least-squares residual: true iff
-    ``min_z ||m z - y|| <= residual_tol * max(1, ||y||)``.
+    Decided by the least-squares residual of ``y`` scaled to unit largest
+    entry: true iff ``min_z ||m z - y|| <= residual_tol * ||y||``, a bound
+    relative to y alone.  The zero vector is a member.
     """
     a = as_matrix(m)
     v = as_vector(y, a.shape[0])
+    peak = np.abs(v).max()
+    if peak == 0.0:
+        return True
+    v = v / peak
     try:
         z, *_ = np.linalg.lstsq(a, v, rcond=tol.rank_cutoff(a.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"least-squares solve failed: {exc}") from exc
     residual = float(np.linalg.norm(a @ z - v))
-    return residual <= tol.residual_tol * max(1.0, float(np.linalg.norm(v)))
+    return residual <= tol.residual_tol * float(np.linalg.norm(v))
 
 
 def _as_powers(m) -> MatrixPowers:
@@ -403,26 +429,58 @@ def _svd(a: np.ndarray, compute_uv: bool):
 # floating point, and the margin keeps their rounding from deciding a rank.
 _CERTIFICATE_MARGIN = 10.0
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _clears(m: np.ndarray, floor: float) -> bool:
     """Whether the smallest singular value of the square matrix ``m``
-    certainly exceeds ``floor``: its lower bound ``1 / ||m^-1||_F``, from one
-    LU-based inverse, clears ``floor`` by the margin :data:`_CERTIFICATE_MARGIN`.
+    certainly exceeds ``_CERTIFICATE_MARGIN * floor``: a Cholesky
+    factorization of the shifted Gram matrix ``g - s I`` succeeds.
 
-    The inverse is taken of ``m`` scaled to unit largest entry, so the test
-    is scale-free; a singular LU factor or a norm that is not finite leaves
-    the value uncertified (``False``), never a warning.
+    With ``a = m / peak`` (peak the largest entry), ``g = a^T a`` and
+    ``f = trace(g) = ||a||_F**2 >= 1``, k the order of m and eps the machine
+    epsilon, the shift is ``s = t**2 + 3 (k + 2) eps f`` with
+    ``t = 10 floor / peak + eps sqrt(f)``.  It covers four roundings
+    (Rump, "Verification of positive definiteness", BIT 46, 2006):
+
+    - the scaling moves ``sigma_min(a)`` by at most ``eps ||a||_F / 2``,
+      which the ``eps sqrt(f)`` in t absorbs;
+    - the computed product differs from ``a^T a`` by at most
+      ``gamma_k ||a||_F**2 = gamma_k f``, ``gamma_k = k eps / 2 / (1 - k eps / 2)``;
+    - subtracting s from the diagonal adds at most ``eps (f + s) / 2``;
+    - a Cholesky factorization that succeeds proves the matrix it ran on
+      positive definite up to ``gamma_(k+1)`` times its trace, at most
+      ``gamma_(k+1) f``.
+
+    A factorization that succeeds has ``s < f`` (no diagonal entry of
+    ``g - s I`` is positive otherwise), so those sum to less than
+    ``(k + 2) eps f``, inside the ``3 (k + 2) eps f`` of the shift that also
+    absorbs the rounding of t and s: success proves ``sigma_min(a)**2 > t**2``
+    and ``sigma_min(m) > 10 floor``.  It can
+    certify only when ``sigma_min(m) / ||m||_F`` exceeds about
+    ``sqrt(3 (k + 2) eps)``.  A zero or non-finite peak, a shift that is not
+    finite or a failed factorization leave the value uncertified
+    (``False``), never a warning; ``floor / peak`` is taken first so that
+    ``10 floor`` cannot overflow.
     """
-    peak = np.abs(m).max()
-    if peak == 0.0:
+    peak = float(np.abs(m).max())
+    if not 0.0 < peak < math.inf:
         return False
+    a = m / peak
+    g = a.T @ a
+    k = g.shape[0]
+    diag = g.ravel()[:: k + 1]  # a view: g is contiguous
+    f = float(diag.sum())
+    t = _CERTIFICATE_MARGIN * (floor / peak) + _EPS * math.sqrt(f)
+    shift = t * t + 3 * (k + 2) * _EPS * f
+    if not shift < math.inf:
+        return False
+    diag -= shift
     try:
-        inverse = np.linalg.inv(m / peak)
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return False
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(inverse)
-    return bool(np.isfinite(norm)) and peak / norm > _CERTIFICATE_MARGIN * floor
+    return True
 
 
 def _frobenius(m: np.ndarray) -> float:

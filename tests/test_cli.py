@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, solve
+from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, ginv, solve
 from fuzzylinsys.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DIMENSION,
@@ -228,6 +228,26 @@ class TestInverseCommand:
         assert "index = 2" in out
         t_section = out.split("T:")[1].split("S-block:")[0]
         assert float(t_section.strip()) == pytest.approx(2.0, abs=1e-9)
+
+    def test_show_decomposition_decides_the_ranks_once(self, capsys, tmp_path, monkeypatch):
+        # the inverse and the decomposition share one staircase
+        calls = []
+        staircase = ginv.MatrixPowers._staircase
+
+        def counting(self, tol):
+            calls.append(tol)
+            return staircase(self, tol)
+
+        monkeypatch.setattr(ginv.MatrixPowers, "_staircase", counting)
+        doc = tmp_path / "m.json"
+        doc.write_text(json.dumps({"a": [[0, 1, 1, 0], [0, 1, 1, 0],
+                                         [1, 0, 0, 1], [1, 0, 0, 1]]}))
+        for kind in ("core-ep", "core", "moore-penrose"):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "inverse", str(doc), "--kind", kind,
+                                   "--show-decomposition")
+            assert code == (EXIT_NUMERICAL if kind == "core" else EXIT_OK)
+            assert len(calls) == 1
 
     def test_huge_entries_do_not_overflow(self, capsys, tmp_path):
         # (A^T)^k A^(k+1) would be ~1e330 here; the inverse itself is tiny

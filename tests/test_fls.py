@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,40 @@ class TestReportInvariants:
         for problem in problems:
             assert_report_invariants(solve(problem))
 
+    def test_scaling_a_or_y_alone_keeps_the_decisions(self):
+        # The decisions are those of the unscaled system whether A or Y is
+        # scaled, up to 1e+-200, with no warning: every residual is judged
+        # against its own generator's norm alone.
+        rng = np.random.default_rng(56)
+        scales = (1e-200, 1e-150, 1e150, 1e200, float(rng.uniform(0.1, 10.0)))
+        for a, _, _ in index_matrix_suite(seed=57, reps=2):
+            n = a.shape[0]
+            s = build_associated(stacked_problem(a, np.zeros(2 * n), np.zeros(2 * n))).s
+            for inside in (np.eye(2 * n), s, matrix_power(s, n)):
+                y0, y1 = (inside @ rng.standard_normal((2 * n, 2))).T
+                expected = solve(stacked_problem(a, y0, y1))
+                decisions = (expected.classification, expected.is_generalized)
+                for c in scales:
+                    for problem in (stacked_problem(c * a, y0, y1),
+                                    stacked_problem(a, c * y0, c * y1)):
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            report = solve(problem)
+                        assert (report.classification, report.is_generalized) == decisions
+                        assert_report_invariants(report)
+
+    @pytest.mark.parametrize("s", [1.0, 1e100, 1e160, 1e-160])
+    def test_right_hand_side_scale_alone(self, s):
+        # (s, 2s) lies outside col(S) for A = [[1, 1], [1, 1]] at every s;
+        # an absolute floor on ||y|| or an overflowing norm used to decide
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        problem = FlsProblem(a=a, y=[fz(s, 0, 2 * s, 0), fz(0, 0, 0, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(problem)
+        assert report.classification.kind == INCONSISTENT
+        assert report.is_generalized
+
 
 def stacked_problem(a, y0, y1):
     """The fuzzy system whose associated right-hand side is ``y0 + r*y1``."""
@@ -486,10 +521,11 @@ class TestHalfBlockRoute:
             assert shapes and not [s for s in shapes if s[1][0] == 2 * n]
 
     def test_no_matrix_factorized_twice(self, monkeypatch):
-        # A nonsingular solve takes no SVD: an LU bound certifies the full
-        # rank of both half-blocks.  A singular one takes each SVD once, with
-        # vectors, where the rank of a power drops.  Neither forms S.
-        seen = []
+        # A nonsingular solve takes no SVD: a Cholesky certificate proves the
+        # full rank of both half-blocks.  A singular one takes each SVD once,
+        # with vectors, where the rank of a power drops.  Neither inverts a
+        # matrix or forms S.
+        seen, inverted = [], []
         original = np.linalg.svd
 
         def recording(m, *args, **kwargs):
@@ -500,6 +536,7 @@ class TestHalfBlockRoute:
             raise AssertionError("S was formed")
 
         monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(np.linalg, "inv", lambda m, *args, **kwargs: inverted.append(m))
         monkeypatch.setattr(AssociatedSystem, "s", property(not_formed))
         rng = np.random.default_rng(55)
         for k in (0, 2):
@@ -509,6 +546,7 @@ class TestHalfBlockRoute:
             report = solve(problem)
             assert report.classification.index_s == k
             assert len(seen) == len(set(seen))
+            assert inverted == []
             if k == 0:
                 assert seen == []
                 assert report.classification.kind == CONSISTENT_UNIQUE

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from matgen import (
@@ -27,6 +29,7 @@ from fuzzylinsys import (
     power_ranks,
     rank,
 )
+from fuzzylinsys.ginv import _clears
 
 EQ_TOL = 1e-9
 
@@ -238,7 +241,7 @@ class TestMatrixIndex:
             matrix_index(np.zeros((2, 3)))
 
     def test_certified_ranks_match_svd_staircase(self):
-        # A rank kept on an LU bound, without an SVD, is the rank the SVD
+        # A rank kept on a certificate, without an SVD, is the rank the SVD
         # would have given, at every scale and on ill-conditioned matrices
         i = np.arange(12)
         non_normal = np.zeros((3, 3))
@@ -441,6 +444,49 @@ class TestInColumnSpace:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             in_column_space(np.eye(3), np.ones(2))
+
+    def test_judged_relative_to_y_at_any_scale(self):
+        m = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert in_column_space(np.eye(2), [1e200, 1e200])
+            for c in (1e-200, 1e-160, 1.0, 1e160, 1e200):
+                assert in_column_space(m, [c, c])
+                assert not in_column_space(m, [c, 2 * c])
+
+
+class TestCertificate:
+    """``_clears(m, floor)`` may say True only where sigma_min(m) > 10 floor."""
+
+    def test_sound_on_graded_matrices(self):
+        rng = np.random.default_rng(60)
+        certified = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 1e-150, 1e150, 1e-300, 1e300):
+                for _ in range(240):
+                    k = int(rng.integers(1, 41))
+                    graded = np.logspace(0.0, -rng.uniform(0.0, 10.0), k)
+                    m = scale * (random_orthogonal(rng, k) * graded) @ random_orthogonal(rng, k)
+                    sigma = np.linalg.svd(m, compute_uv=False)[-1]
+                    # floors straddling sigma / 10, coarsely and within roundoff
+                    spread = rng.uniform(-1.0, 0.3) if rng.random() < 0.5 else \
+                        rng.uniform(-1e-9, 1e-9)
+                    floor = sigma / 10.0 * 10.0 ** spread
+                    if _clears(m, floor):
+                        certified += 1
+                        assert sigma > 10.0 * floor
+        assert certified >= 200
+
+    def test_edges_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _clears(np.zeros((3, 3)), 0.0)
+            assert not _clears(np.eye(3), 1e308)
+            assert not _clears(1e-300 * np.eye(3), 1e308)
+            assert not _clears(np.diag([1.0, 1e-12]), 1e-20)  # beyond its reach
+            assert _clears(np.eye(3), 0.09)
+            assert not _clears(np.eye(3), 0.1)
 
 
 class TestTolerancePolicy:

@@ -118,6 +118,12 @@ class AssociatedSystem:
         peak = np.maximum(np.abs(y).max(axis=0), _TINY)
         return y, peak, np.linalg.norm(y / peak, axis=0)
 
+    @cached_property
+    def _projections(self) -> dict:
+        """The residuals ``(I - P) y`` and their ranks found so far, by
+        tolerance policy and bases (:func:`_project`)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -181,8 +187,7 @@ def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -
     ranges = [h.ranges(tol) for h in sys.halves]
     rank_s = sum(ranks[1] for ranks, _ in ranges)
     index_s = max(len(ranks) - 2 for ranks, _ in ranges)
-    y = sys._rhs[0]
-    rank_aug = rank_s + _residual_rank(_outside([b[1] for _, b in ranges], y), sys, tol)
+    rank_aug = rank_s + _project(sys, [b[1] for _, b in ranges], tol)[1]
     if rank_s < rank_aug:
         kind = INCONSISTENT
     elif rank_s == 2 * sys.n:
@@ -235,15 +240,18 @@ def solve(
 
     The residual is the max over r in [0, 1] of the infinity norm of
     ``S X(r) - Y(r)`` for exact solutions, or of the auxiliary-system
-    mismatch ``S X(r) - P Y(r)`` for generalized ones.
+    mismatch ``S X(r) - P Y(r)`` for generalized ones.  An exact solution
+    whose residual exceeds the backward-error bound of
+    :class:`~fuzzylinsys.ginv.TolerancePolicy` raises
+    :class:`~fuzzylinsys.errors.NumericalFailureError`.
     """
     sys = build_associated(problem)
     cls = classify(sys, tol)
     k = cls.index_s
     y = sys._rhs[0]
     bases = _bases(sys, tol)
-    outside = _outside(bases, y)
-    member = _residual_rank(outside, sys, tol) == 0
+    outside, excess = _project(sys, bases, tol)
+    member = excess == 0
 
     if method is None:
         method = METHOD_INVERSE if k == 0 else METHOD_CORE_EP if member else METHOD_2I
@@ -259,7 +267,7 @@ def solve(
     if member:
         g = sx - y
         residual = _max_over_r(g)
-        if _residual_rank(g, sys, tol):
+        if _beyond_backward_error(g, x, sys, tol):
             raise NumericalFailureError(
                 f"exact route left residual {residual:.3e}; membership test and "
                 "solution disagree under the tolerance policy"
@@ -331,9 +339,23 @@ def _outside(bases, y: np.ndarray) -> np.ndarray:
     return _from_halves(*(w - b @ (b.T @ w) for b, w in zip(bases, _to_halves(y))))
 
 
+def _project(sys: AssociatedSystem, bases, tol: TolerancePolicy):
+    """``((I - P) y, rank)`` for the generators y of ``sys`` and P the
+    orthogonal projector onto the column space ``bases`` span
+    (:func:`_outside`, :func:`_residual_rank`), computed once per system,
+    tolerance policy and bases: at index <= 1 the bases of ``col(S**k)`` are
+    those of ``col(S)``, so :func:`solve` reuses what :func:`classify` found.
+    Each entry keeps its bases alive, so the ids in its key stay theirs."""
+    key = (tol, *map(id, bases))
+    if key not in sys._projections:
+        outside = _outside(bases, sys._rhs[0])
+        sys._projections[key] = bases, outside, _residual_rank(outside, sys, tol)
+    return sys._projections[key][1:]
+
+
 def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -> int:
     """Rank of a residual g of the two generators y of ``sys``, such as
-    ``(I - P) y`` or ``S x - y``.
+    ``(I - P) y``.
 
     A column within ``residual_tol * ||y_i||`` of its generator ``y_i`` counts
     as zero, both norms taken on the scale of ``sys._rhs``: each column
@@ -352,6 +374,20 @@ def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -
         return int(np.count_nonzero(norms > bound))
     u = g[:, 0] / norms[0]
     return 1 + int(np.linalg.norm(g[:, 1] - u * (u @ g[:, 1])) > bound[1])
+
+
+def _beyond_backward_error(g: np.ndarray, x: np.ndarray, sys: AssociatedSystem,
+                           tol: TolerancePolicy) -> bool:
+    """Whether a column of the residual ``g = S x - y`` of a solution x for
+    the generators y of ``sys`` exceeds ``residual_tol * (||S|| ||x_i|| +
+    ||y_i||)``: whether x is not a backward-stable solution under the
+    tolerance policy.  The norms are taken on the scale of ``sys._rhs``, and
+    ``||S||``, the larger ``sigma_max`` of the half-blocks, is the one their
+    staircases found (:meth:`ginv.MatrixPowers.norm_bound`)."""
+    _, peak, size = sys._rhs
+    s_norm = max(h.norm_bound(tol) for h in sys.halves)
+    bound = tol.residual_tol * (np.linalg.norm(x / peak * s_norm, axis=0) + size)
+    return bool(np.any(np.linalg.norm(g / peak, axis=0) > bound))
 
 
 def _power_transpose_apply(sys: AssociatedSystem, bases, k: int, g: np.ndarray):

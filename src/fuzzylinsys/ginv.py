@@ -47,8 +47,10 @@ class TolerancePolicy:
     ``residual_tol`` bounds residuals in membership and consistency checks
     relative to the vector y they are residuals of, ``residual_tol * ||y||``
     with both norms taken on y scaled to unit largest entry: a purely relative
-    bound, with no absolute floor.  ``equality_tol`` bounds matrix-equality
-    comparisons.
+    bound, with no absolute floor.  The residual ``S x - y`` of an exact
+    solution is bounded as a backward error, by
+    ``residual_tol * (||S|| ||x|| + ||y||)`` on the same scale.
+    ``equality_tol`` bounds matrix-equality comparisons.
     """
 
     rank_rel_tol: float | None = None
@@ -78,9 +80,11 @@ class CoreEpDecomposition:
     """Orthogonal block triangularization ``a = u @ [[t, s], [0, n]] @ u.T``.
 
     ``t`` is nonsingular of order ``rank(a**k)`` where ``k`` is the matrix
-    index, and ``n_block`` is nilpotent (``n_block**k == 0``).  ``u`` is real
-    orthogonal; ``t`` is quasi-upper-triangular (2x2 bumps carry complex
-    eigenvalue pairs of the nonsingular part).
+    index, and ``n_block`` is nilpotent (``n_block**k == 0``), strictly upper
+    triangular up to roundoff.  ``u`` is real orthogonal; its first
+    ``rank(a**k)`` columns span the column space of ``a**k``.  ``t`` has no
+    further structure: any orthonormal basis of that space gives a valid
+    decomposition (see :func:`core_ep_decompose` for the one chosen).
     """
 
     u: np.ndarray
@@ -192,7 +196,9 @@ class MatrixPowers:
         ``sqrt(3 (r + 2) eps)`` (3e-7 at r = 128, a condition of about
         1e6); a core between that and 10 times the floor pays an SVD although
         its rank holds.  The last step's core, ``B^T m B`` at the index, is
-        kept for :meth:`core_ep_apply`.  Always terminates with j <= n + 1 in
+        kept for :meth:`core_ep_apply`, and at each drop the dropped left
+        singular vectors with the basis they are expressed in, which
+        :func:`core_ep_decompose` reads.  Always terminates with j <= n + 1 in
         exact arithmetic; if the rank sequence has not stabilized by then the
         tolerance policy is inconsistent with the matrix and a numerical
         failure is raised.
@@ -204,7 +210,7 @@ class MatrixPowers:
         space of ``m**k`` at the index k (Wang's core-EP decomposition), with
         the core ``B^T m B`` that :meth:`ranges` kept; at index 0, B = I and
         this is ``solve(m, w)``."""
-        _, bases, core = self._steps(tol)
+        _, bases, core, _, _ = self._steps(tol)
         b = bases[-2]
         try:
             if b.shape[1] == self.n:
@@ -212,6 +218,12 @@ class MatrixPowers:
             return b @ np.linalg.solve(core, b.T @ w)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
+
+    def norm_bound(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> float:
+        """``sigma_max(m)`` as :meth:`ranges` found it: from its first SVD, or
+        the upper bound ``||m||_F`` where the certificate made that SVD
+        unnecessary."""
+        return self._steps(tol)[4]
 
     def _steps(self, tol: TolerancePolicy):
         if tol not in self._ranges:
@@ -222,7 +234,7 @@ class MatrixPowers:
         cutoff = tol.rank_cutoff(self.m.shape)
         eye = np.eye(self.n)
         eye.flags.writeable = False
-        ranks, bases = [self.n], [eye]
+        ranks, bases, drops = [self.n], [eye], []
         smax = _frobenius(self.m)  # >= sigma_max(m); step 1's SVD replaces it
         for j in range(1, self.n + 2):
             # a power after a zero power is zero
@@ -238,12 +250,13 @@ class MatrixPowers:
                         smax = s[0]
                     r = int(np.count_nonzero(s > j * cutoff * smax))
                     if r < ranks[-1]:  # the next power needs this one's basis
+                        drops.append((b, u[:, r:]))
                         b = u[:, :r] if j == 1 else b @ u[:, :r]
                         b.flags.writeable = False
             ranks.append(r)
             bases.append(b)
             if r == ranks[-2]:
-                return ranks, bases, core
+                return ranks, bases, core, drops, smax
         raise NumericalFailureError(
             "rank sequence did not stabilize within the matrix dimension; "
             "the rank cutoff is inconsistent for this matrix"
@@ -286,29 +299,32 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
 
     Returns real orthogonal ``u`` and blocks ``t`` (nonsingular, order
     ``rho = rank(m**k)``), ``s_block`` and nilpotent ``n_block`` with
-    ``m = u @ [[t, s], [0, n]] @ u.T``.
+    ``m = u @ [[t, s], [0, n]] @ u.T``, all read off the staircase of
+    :meth:`MatrixPowers.ranges`: no eigenvalues are computed, no power is
+    formed, no matrix is factorized and no second rank decision is made.
 
-    ``k``, ``rho`` and an orthonormal basis of the column space of ``m**k``
-    come from :meth:`MatrixPowers.ranges`, and a QR factorization completes
-    that basis to ``u``.  The space is invariant under ``m``, so ``m`` is
-    block upper triangular in the basis; no eigenvalues are computed, no
-    power is formed and no second rank decision is made.  Real Schur forms of
-    the two diagonal blocks then make ``t`` quasi-triangular and ``n_block``
-    strictly triangular.  ``m`` is a square matrix or a
+    ``u = [B_k | W_k | ... | W_1]``, with ``B_k`` the staircase's basis of
+    ``col(m**k)`` and ``W_j`` the left singular vectors dropped at step j, the
+    orthogonal complement of ``col(m**j)`` in ``col(m**(j-1))``.  ``m`` maps
+    ``col(m**(j-1))`` into ``col(m**j)``, so ``t = B_k^T m B_k`` is the core
+    the staircase kept (the matrix :meth:`MatrixPowers.core_ep_apply`
+    inverts), the lower-left block vanishes and ``n_block = W^T m W`` is
+    strictly upper triangular, with zero diagonal blocks of the sizes of the
+    rank drops.  Each column of W is signed so that its largest-magnitude
+    entry (the first, on ties) is positive, so the factors do not depend on
+    the signs LAPACK gives singular vectors.  ``m`` is a square matrix or a
     :class:`MatrixPowers`, whose cached staircase is then reused.
     """
     powers = _as_powers(m)
-    a, n = powers.m, powers.n
-    ranks, bases = powers.ranges(tol)
-    k, rho = len(ranks) - 2, ranks[-1]
-    u = np.eye(n) if rho in (0, n) else np.linalg.qr(bases[k], mode="complete")[0]
-    q1, q2 = u[:, :rho], u[:, rho:]
-    t, v = _real_schur(q1.T @ a @ q1)
-    q1 = q1 @ v
-    n_block, w = _real_schur(q2.T @ a @ q2)
-    q2 = q2 @ w
+    a = powers.m
+    ranks, bases, core, drops, _ = powers._steps(tol)
+    u = np.hstack([bases[-2]] + [prev @ dropped for prev, dropped in reversed(drops)])
+    b, w = u[:, : ranks[-1]], u[:, ranks[-1] :]
+    peaks = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
+    w *= np.where(peaks < 0.0, -1.0, 1.0)
+    aw = a @ w
     dec = CoreEpDecomposition(
-        u=np.hstack([q1, q2]), t=t, s_block=q1.T @ a @ q2, n_block=n_block, k=k
+        u=u, t=core.copy(), s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2
     )
     _check_decomposition(a, dec, tol)
     return dec
@@ -318,11 +334,11 @@ def core_ep_via_decomposition(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> n
     """Core-EP inverse from the core-EP decomposition,
     ``u @ [[t^-1, 0], [0, 0]] @ u.T`` (see :func:`core_ep_decompose`).
 
-    With B the first ``rho`` columns of ``u``, an orthonormal basis of the
-    column space of ``m**k``, that is ``B (B^T m B)^-1 B^T`` whatever the
-    basis, so it is computed as such (:meth:`MatrixPowers.core_ep_apply`):
-    the Schur forms that tidy ``t`` and ``n_block`` do not change it.  ``m``
-    is a square matrix or a :class:`MatrixPowers`.
+    With B the first ``rho`` columns of ``u``, the staircase's orthonormal
+    basis of the column space of ``m**k``, and ``t = B^T m B``, that is
+    ``B (B^T m B)^-1 B^T``, so it is computed as such
+    (:meth:`MatrixPowers.core_ep_apply`) without assembling ``u``.  ``m`` is
+    a square matrix or a :class:`MatrixPowers`.
     """
     powers = _as_powers(m)
     return powers.core_ep_apply(np.eye(powers.n), tol)
@@ -488,19 +504,6 @@ def _frobenius(m: np.ndarray) -> float:
     underflow at any scale of the entries."""
     peak = np.abs(m).max()
     return float(peak * np.linalg.norm(m / peak)) if peak else 0.0
-
-
-def _real_schur(a: np.ndarray):
-    """Real Schur form ``a = u @ t @ u.T`` (t quasi-upper-triangular)."""
-    if a.shape[0] == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    import scipy.linalg
-
-    try:
-        t, u = scipy.linalg.schur(a, output="real")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalFailureError(f"Schur decomposition failed: {exc}") from exc
-    return t, u
 
 
 def _check_decomposition(a: np.ndarray, dec: CoreEpDecomposition, tol: TolerancePolicy):

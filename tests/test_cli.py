@@ -395,21 +395,23 @@ def test_closed_stdout_keeps_the_error_code():
 
 
 def test_solve_does_not_import_scipy_linalg():
-    # scipy.linalg is needed only by the Schur-based decomposition and the
-    # gesvd fallback, so importing the package and solving leave it unloaded.
+    # scipy.linalg is needed only by the gesvd fallback, so importing the
+    # package, solving and showing a core-EP decomposition leave it unloaded.
     script = (
         "import sys\n"
         "import fuzzylinsys\n"
         "from fuzzylinsys.cli import main\n"
-        "code = main(['solve', sys.argv[1], '--format', 'json'])\n"
-        "print(code, 'scipy.linalg' in sys.modules)\n"
+        "codes = (main(['solve', sys.argv[1], '--format', 'json']),\n"
+        "         main(['inverse', sys.argv[2], '--show-decomposition']))\n"
+        "print(*codes, 'scipy.linalg' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(FIXTURES / "consistent_2x2.json")],
+        [sys.executable, "-c", script, str(FIXTURES / "consistent_2x2.json"),
+         str(FIXTURES / "associated_4x4.json")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 0 False"

@@ -10,12 +10,14 @@ from matgen import (
     gesdd_failure_case,
     index_matrix,
     index_matrix_suite,
+    random_orthogonal,
 )
 from oracles import solve_2n
 
 from fuzzylinsys import (
     CONSISTENT_INFINITE,
     CONSISTENT_UNIQUE,
+    DEFAULT_TOLERANCES,
     INCONSISTENT,
     METHOD_2I,
     METHOD_2II,
@@ -25,6 +27,8 @@ from fuzzylinsys import (
     DimensionMismatchError,
     FlsProblem,
     IndexTooLargeError,
+    MatrixPowers,
+    NumericalFailureError,
     build_associated,
     classify,
     core_ep_from_blocks,
@@ -36,6 +40,7 @@ from fuzzylinsys import (
     solve,
     verify_solution,
 )
+from fuzzylinsys import fls
 from fuzzylinsys.fuzzy import AffineFn, FuzzyNumber
 
 EQ_TOL = 1e-9
@@ -450,6 +455,72 @@ class TestReportInvariants:
             report = solve(problem)
         assert report.classification.kind == INCONSISTENT
         assert report.is_generalized
+
+
+def graded_problems(count):
+    """Nonsingular n = 12 systems, the singular values of A graded from 1 down
+    to 1e-2..1e-12, with a random right-hand side."""
+    rng = np.random.default_rng(90)
+    for _ in range(count):
+        graded = np.logspace(0.0, -rng.uniform(2.0, 12.0), 12)
+        a = (random_orthogonal(rng, 12) * graded) @ random_orthogonal(rng, 12)
+        yield stacked_problem(a, *rng.standard_normal((2, 24)))
+
+
+class TestExactRouteCheck:
+    """The exact route's residual ``S x - y`` is judged as a backward error,
+    against ``residual_tol * (||S|| ||x_i|| + ||y_i||)`` per generator."""
+
+    def test_well_posed_systems_are_solved(self):
+        # the check used to raise on about a third of these once cond(A)
+        # passed 1e8, although x is a backward-stable solve
+        for problem in graded_problems(350):
+            report = solve(problem)
+            assert report.classification.kind == CONSISTENT_UNIQUE
+            assert not report.is_generalized
+            sys = build_associated(problem)
+            x = np.column_stack([report.crisp_x0, report.crisp_x1])
+            y = np.column_stack([sys.y0, sys.y1])
+            backward = np.linalg.norm(sys.s @ x - y, axis=0) / (
+                np.linalg.norm(sys.s, 2) * np.linalg.norm(x, axis=0) + np.linalg.norm(y, axis=0))
+            assert backward.max() <= 1e-14
+
+    def test_perturbed_solution_raises(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        apply = MatrixPowers.core_ep_apply
+
+        def perturbed(self, w, tol=DEFAULT_TOLERANCES):
+            x = apply(self, w, tol)
+            return x * (1.0 + 1e-6 * rng.standard_normal(x.shape))
+
+        monkeypatch.setattr(MatrixPowers, "core_ep_apply", perturbed)
+        for problem in graded_problems(50):
+            with pytest.raises(NumericalFailureError, match="exact route"):
+                solve(problem)
+
+
+def test_one_projection_per_solve_at_index_at_most_one(monkeypatch):
+    # at index <= 1 col(S^k) = col(S): the membership test and the Method2-i
+    # residual reuse the projection behind the augmented rank
+    calls = []
+    outside = fls._outside
+
+    def counting(bases, y):
+        calls.append(len(bases))
+        return outside(bases, y)
+
+    monkeypatch.setattr(fls, "_outside", counting)
+    rng = np.random.default_rng(92)
+    routes = set()
+    for k, consistent in ((0, True), (1, True), (1, False)):
+        for n in (3, 8, 16):
+            a, y0, y1 = block_triangular_system(rng, n, k, consistent)
+            calls.clear()
+            report = solve(stacked_problem(a, y0, y1))
+            assert report.classification.index_s == k
+            assert len(calls) == 1
+            routes.add(report.method)
+    assert routes == {METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I}
 
 
 def stacked_problem(a, y0, y1):

@@ -15,6 +15,7 @@ from oracles import exact_rank, svd_staircase_ranks
 from fuzzylinsys import (
     DimensionMismatchError,
     IndexTooLargeError,
+    MatrixPowers,
     TolerancePolicy,
     core_ep_decompose,
     core_ep_via_decomposition,
@@ -297,6 +298,52 @@ class TestCoreEpDecompose:
             assert dec.rho == int(np.count_nonzero(np.abs(np.linalg.eigvals(m)) > 0.1))
             k, _, rho = index_power(m)
             assert (dec.k, dec.rho) == (k, rho)
+
+    def test_block_structure_at_every_scale(self):
+        # u is orthonormal, its first rho columns span col(m**k), n_block is
+        # strictly upper triangular and u [[t^-1, 0], [0, 0]] u^T is the
+        # core-EP inverse; norms are taken on m scaled to unit largest entry
+        rng = np.random.default_rng(80)
+        i = np.arange(12)
+        non_normal = np.zeros((3, 3))
+        non_normal[:2, :2] = [[1.0, 1e5], [0.0, 1.0]]
+        cases = [m for m, _, _ in index_matrix_suite()]
+        cases += [block_triangular_system(rng, n, k, True)[0]
+                  for n in range(2, 41) for k in range(4)]
+        cases += [1.0 / (i[:, None] + i[None, :] + 1.0), non_normal]
+        for m in cases:
+            peak = np.abs(m).max() or 1.0
+            norm = np.linalg.norm(m / peak)
+            ranks = svd_staircase_ranks(m)
+            k, rho = len(ranks) - 2, ranks[-1]
+            mk = np.linalg.matrix_power(m / peak, k)
+            for scale in (1.0, 1e-150, 1e150):
+                dec = core_ep_decompose(scale * m)
+                c = scale * peak
+                assert (dec.k, dec.rho) == (k, rho)
+                assert np.linalg.norm(np.tril(dec.n_block / c)) <= 1e-14 * norm
+                assert np.linalg.norm(dec.u.T @ dec.u - np.eye(len(m))) <= 1e-12
+                b = dec.u[:, :rho]
+                assert np.linalg.norm(mk - b @ (b.T @ mk)) <= 1e-12 * norm ** k
+                x = core_ep_via_decomposition(scale * m) * c
+                assert np.linalg.norm(b @ np.linalg.inv(dec.t / c) @ b.T - x) <= \
+                    1e-12 * np.linalg.norm(x)
+
+    def test_reads_the_staircase_without_factorizing(self, monkeypatch):
+        # once the ranks are decided, the decomposition takes no SVD and no QR
+        def not_called(*args, **kwargs):
+            raise AssertionError("matrix factorized")
+
+        rng = np.random.default_rng(81)
+        powers = [MatrixPowers(block_triangular_system(rng, 16, k, True)[0]) for k in range(4)]
+        powers += [MatrixPowers(m) for m, _, _ in index_matrix_suite(reps=1)]
+        for p in powers:
+            p.ranges()
+        monkeypatch.setattr(np.linalg, "svd", not_called)
+        monkeypatch.setattr(np.linalg, "qr", not_called)
+        for p in powers:
+            dec = core_ep_decompose(p)
+            assert (dec.k, dec.rho) == (len(p.ranges()[0]) - 2, p.ranges()[0][-1])
 
     def test_index_two_where_eigenvalues_blur(self):
         # Perturbed defective zero eigenvalues make a split of this matrix by

@@ -36,7 +36,6 @@ from .ginv import (
     core_ep_via_formula,
     core_inverse,
     in_column_space,
-    index_power,
     matrix_index,
     matrix_power,
     moore_penrose,

@@ -11,7 +11,6 @@ Diagnostics go to stderr, reports to stdout (or ``--output``).
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -52,6 +51,9 @@ _INVERSE_KINDS = {
 # Keys reserved for a future sampled-grid fuzzy-number encoding; rejected
 # explicitly so the diagnostic names the unsupported format.
 _RESERVED_KEYS = ("samples", "grid", "r")
+
+# Significant digits of the numbers in a text report.
+_PRECISION = 6
 
 
 def main(argv=None) -> int:
@@ -316,7 +318,7 @@ def report_from_dict(doc: dict) -> tuple[fls.SolveReport, TolerancePolicy]:
     return report, tol
 
 
-def format_report_text(report: fls.SolveReport, tol: TolerancePolicy, precision: int = 6) -> str:
+def format_report_text(report: fls.SolveReport, tol: TolerancePolicy) -> str:
     cls = report.classification
     lines = [
         f"classification : {cls.kind}  "
@@ -324,7 +326,7 @@ def format_report_text(report: fls.SolveReport, tol: TolerancePolicy, precision:
         f"method         : {report.method}",
         f"generalized    : {'yes' if report.is_generalized else 'no'}",
         f"overall        : {'strong' if report.strong else 'weak'}",
-        f"residual       : {report.residual:.{precision}g}",
+        f"residual       : {report.residual:.{_PRECISION}g}",
         "",
         "fuzzy solution (r in [0, 1]):",
     ]
@@ -333,14 +335,14 @@ def format_report_text(report: fls.SolveReport, tol: TolerancePolicy, precision:
             "invalid{" + ",".join(str(c) for c in verdict.violations) + "}"
         )
         lines.append(
-            f"  x~{i} = ({format_affine(fn.lower, precision)}, "
-            f"{format_affine(fn.upper, precision)})   {tag}"
+            f"  x~{i} = ({format_affine(fn.lower)}, "
+            f"{format_affine(fn.upper)})   {tag}"
         )
     lines += [
         "",
         "crisp solution X(r) = x0 + r*x1:",
-        "  x0 = [" + ", ".join(f"{v:.{precision}g}" for v in report.crisp_x0) + "]",
-        "  x1 = [" + ", ".join(f"{v:.{precision}g}" for v in report.crisp_x1) + "]",
+        "  x0 = [" + ", ".join(f"{v:.{_PRECISION}g}" for v in report.crisp_x0) + "]",
+        "  x1 = [" + ", ".join(f"{v:.{_PRECISION}g}" for v in report.crisp_x1) + "]",
         "",
         "tolerances: rank_rel_tol="
         + ("auto" if tol.rank_rel_tol is None else f"{tol.rank_rel_tol:g}")
@@ -349,9 +351,9 @@ def format_report_text(report: fls.SolveReport, tol: TolerancePolicy, precision:
     return "\n".join(lines)
 
 
-def format_affine(fn: AffineFn, precision: int = 6) -> str:
+def format_affine(fn: AffineFn) -> str:
     sign = "-" if fn.c1 < 0 else "+"
-    return f"{fn.c0:.{precision}g} {sign} {abs(fn.c1):.{precision}g}*r"
+    return f"{fn.c0:.{_PRECISION}g} {sign} {abs(fn.c1):.{_PRECISION}g}*r"
 
 
 def format_matrix(a: np.ndarray, precision: int = 6) -> str:

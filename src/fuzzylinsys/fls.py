@@ -202,14 +202,17 @@ def core_ep_from_blocks(d, e, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.n
 
     The block structure ``[[h, z], [z, h]]`` holds with
     ``h = ((d+e)^ce + (d-e)^ce) / 2`` and ``z = ((d+e)^ce - (d-e)^ce) / 2``,
-    so only two half-size core-EP inverses are needed.
+    so only two half-size core-EP inverses are needed.  Each comes from the
+    half-block's own staircase (:func:`ginv.core_ep_via_decomposition`),
+    the route :func:`solve` applies, so it holds for ill-conditioned
+    non-normal halves too; the power formula is only the tests' reference.
     """
     d = as_square(d)
     e = as_square(e)
     if d.shape != e.shape:
         raise DimensionMismatchError(f"block shapes differ: {d.shape} vs {e.shape}")
-    p = ginv.core_ep_via_formula(d + e, tol)
-    q = ginv.core_ep_via_formula(d - e, tol)
+    p = ginv.core_ep_via_decomposition(d + e, tol)
+    q = ginv.core_ep_via_decomposition(d - e, tol)
     h = 0.5 * (p + q)
     z = 0.5 * (p - q)
     return np.block([[h, z], [z, h]])

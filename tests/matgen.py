@@ -131,6 +131,19 @@ def block_triangular_system(rng, n, index, consistent):
     return u @ core @ u.T, stacked(), stacked()
 
 
+def graded_index_one(rng, n, condition):
+    """``U [[T, C], [0, 0]] U^T``: index 1, with a core T of order between
+    ``n / 2`` and ``n - 1`` whose singular values are graded from 1 down to
+    ``1 / condition``."""
+    rho = int(rng.integers(n // 2, n))
+    graded = np.logspace(0.0, -np.log10(condition), rho)
+    core = np.zeros((n, n))
+    core[:rho, :rho] = (random_orthogonal(rng, rho) * graded) @ random_orthogonal(rng, rho)
+    core[:rho, rho:] = rng.standard_normal((rho, n - rho)) / np.sqrt(rho)
+    u = random_orthogonal(rng, n)
+    return u @ core @ u.T
+
+
 def gesdd_failure_case():
     """A finite order-256 rank-192 matrix and a vector.  LAPACK gesdd
     (numpy's SVD driver) fails to converge on ``A^T A A``, the inner matrix

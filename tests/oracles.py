@@ -27,9 +27,11 @@ from fuzzylinsys import (
     METHOD_INVERSE,
     Classification,
     build_associated,
-    core_ep_from_blocks,
+    core_ep_via_formula,
     in_column_space,
-    index_power,
+    matrix_index,
+    matrix_power,
+    power_ranks,
     rank,
 )
 
@@ -122,7 +124,7 @@ def classify_2n(sys, tol=DEFAULT_TOLERANCES) -> Classification:
     of S, each computed on the 2n x 2n matrix."""
     rank_s = rank(sys.s, tol)
     rank_aug = rank(np.column_stack([sys.s, sys.y0, sys.y1]), tol)
-    index_s = index_power(sys.s, tol)[0]
+    index_s = matrix_index(sys.s, tol)
     if rank_s < rank_aug:
         kind = INCONSISTENT
     elif rank_s == sys.s.shape[0]:
@@ -135,16 +137,31 @@ def classify_2n(sys, tol=DEFAULT_TOLERANCES) -> Classification:
 def member_2n(sys, tol=DEFAULT_TOLERANCES) -> bool:
     """Whether y0 and y1 lie in the column space of ``S**k`` (k the index of
     S), by least squares against the 2n x 2n power."""
-    k, sk, _ = index_power(sys.s, tol)
+    ranks = power_ranks(sys.s, tol)
+    k = len(ranks) - 2
     if k == 0:
         return True
+    # a numerically zero power is exactly zero: the relative cutoff of the
+    # least-squares solve would read rank into its roundoff
+    sk = matrix_power(sys.s, k) if ranks[-1] else np.zeros_like(sys.s)
     return in_column_space(sk, sys.y0, tol) and in_column_space(sk, sys.y1, tol)
+
+
+def core_ep_by_formula_blocks(d, e, tol=DEFAULT_TOLERANCES):
+    """``S^ce`` of ``S = [[d, e], [e, d]]`` as ``[[h, z], [z, h]]`` with
+    ``h +- z`` the core-EP inverses of ``d +- e`` by the power formula: the
+    block theorem on a route independent of the solver's staircase."""
+    p = core_ep_via_formula(d + e, tol)
+    q = core_ep_via_formula(d - e, tol)
+    h, z = 0.5 * (p + q), 0.5 * (p - q)
+    return np.block([[h, z], [z, h]])
 
 
 def solve_2n(problem, tol=DEFAULT_TOLERANCES):
     """``(classification, method, is_generalized, x)`` of the automatic route
     decided on the 2n x 2n matrix; ``x`` is ``[x0 x1]``, by a full-size
-    linear solve at index 0 and by the block-assembled ``S^ce`` otherwise."""
+    linear solve at index 0 and by the formula-assembled ``S^ce``
+    (:func:`core_ep_by_formula_blocks`) otherwise."""
     sys = build_associated(problem)
     cls = classify_2n(sys, tol)
     member = member_2n(sys, tol)
@@ -152,4 +169,4 @@ def solve_2n(problem, tol=DEFAULT_TOLERANCES):
     if cls.index_s == 0:
         return cls, METHOD_INVERSE, False, np.linalg.solve(sys.s, y)
     method = METHOD_CORE_EP if member else METHOD_2I
-    return cls, method, not member, core_ep_from_blocks(sys.d, sys.e, tol) @ y
+    return cls, method, not member, core_ep_by_formula_blocks(sys.d, sys.e, tol) @ y

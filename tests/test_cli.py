@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from matgen import graded_index_one
 
 from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, ginv, solve
 from fuzzylinsys.cli import (
@@ -273,6 +274,19 @@ class TestInverseCommand:
             got = np.array([[float(v) for v in row] for row in rows])
             np.testing.assert_allclose(got, [[1, -1e5, 0], [0, 1, 0], [0, 0, 0]],
                                        rtol=1e-6, atol=1e-6)
+
+    def test_core_on_ill_conditioned_core(self, capsys, tmp_path):
+        # index 1, a core of condition 1e8: equation (1) holds to a backward
+        # error, so the core inverse prints what the core-EP inverse prints
+        doc = tmp_path / "m.json"
+        a = graded_index_one(np.random.default_rng(85), 12, 1e8)
+        doc.write_text(json.dumps({"a": a.tolist()}))
+        printed = []
+        for kind in ("core-ep", "core"):
+            code, out, err = run_cli(capsys, "inverse", str(doc), "--kind", kind)
+            assert code == EXIT_OK and err == ""
+            printed.append(out.splitlines()[1:])
+        assert printed[0] == printed[1]
 
     def test_core_on_index_two_matrix(self, capsys, tmp_path):
         doc = tmp_path / "m.json"

@@ -32,6 +32,7 @@ from fuzzylinsys import (
     build_associated,
     classify,
     core_ep_from_blocks,
+    core_ep_via_decomposition,
     core_ep_via_formula,
     fuzzy_eq,
     in_column_space,
@@ -206,6 +207,26 @@ class TestBlockCoreEp:
             scale = 1.0 + np.linalg.norm(plus) + np.linalg.norm(minus)
             assert np.linalg.norm((h + z) - plus) <= RES_TOL * scale
             assert np.linalg.norm((h - z) - minus) <= RES_TOL * scale
+
+
+    def test_ill_conditioned_non_normal_halves(self):
+        # A = diag(J, 0), J = [[1, 1e5], [0, 1]] of condition 1e10: the power
+        # formula loses a real singular value of the halves, the staircase
+        # does not.  Norms are taken on S scaled to unit largest entry and X
+        # scaled to match, so that none overflows at 1e150.
+        a = np.zeros((3, 3))
+        a[:2, :2] = [[1.0, 1e5], [0.0, 1.0]]
+        for scale in (1.0, 1e-150, 1e150):
+            sys = build_associated(FlsProblem(a=scale * a, y=[fz(0, 1, 2, -1)] * 3))
+            x = core_ep_from_blocks(sys.d, sys.e)
+            peak = np.abs(sys.s).max()
+            s, x, ref = sys.s / peak, x * peak, core_ep_via_decomposition(sys.s) * peak
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert classify(sys).index_s == 1
+            sx = s @ x
+            assert np.linalg.norm(x @ s @ s - s) <= 1e-9 * np.linalg.norm(s)
+            assert np.linalg.norm(sx.T - sx) <= 1e-9 * np.linalg.norm(sx)
+            assert np.linalg.norm(x @ s @ x - x) <= 1e-9 * np.linalg.norm(x)
 
 
 class TestSolveWorkedSystems:

@@ -6,6 +6,7 @@ from matgen import (
     block_pair_suite,
     block_triangular_system,
     gesdd_failure_case,
+    graded_index_one,
     index_matrix,
     index_matrix_suite,
     random_orthogonal,
@@ -13,16 +14,17 @@ from matgen import (
 from oracles import exact_rank, svd_staircase_ranks
 
 from fuzzylinsys import (
+    DEFAULT_TOLERANCES,
     DimensionMismatchError,
     IndexTooLargeError,
     MatrixPowers,
+    NumericalFailureError,
     TolerancePolicy,
     core_ep_decompose,
     core_ep_via_decomposition,
     core_ep_via_formula,
     core_inverse,
     in_column_space,
-    index_power,
     matrix_index,
     matrix_power,
     moore_penrose,
@@ -30,7 +32,7 @@ from fuzzylinsys import (
     power_ranks,
     rank,
 )
-from fuzzylinsys.ginv import _clears
+from fuzzylinsys.ginv import _check_decomposition, _clears
 
 EQ_TOL = 1e-9
 
@@ -296,8 +298,8 @@ class TestCoreEpDecompose:
             # defective zeros perturb by at most ~eps**(1/3), so counting
             # moduli above 0.1 is an independent oracle for the core size.
             assert dec.rho == int(np.count_nonzero(np.abs(np.linalg.eigvals(m)) > 0.1))
-            k, _, rho = index_power(m)
-            assert (dec.k, dec.rho) == (k, rho)
+            ranks = power_ranks(m)
+            assert (dec.k, dec.rho) == (len(ranks) - 2, ranks[-1])
 
     def test_block_structure_at_every_scale(self):
         # u is orthonormal, its first rho columns span col(m**k), n_block is
@@ -330,20 +332,37 @@ class TestCoreEpDecompose:
                     1e-12 * np.linalg.norm(x)
 
     def test_reads_the_staircase_without_factorizing(self, monkeypatch):
-        # once the ranks are decided, the decomposition takes no SVD and no QR
+        # once the ranks are decided, the decomposition takes no SVD, no QR
+        # and no Cholesky factorization: it decides no rank again, not even
+        # for a core beyond the certificate's reach (Hilbert(12))
         def not_called(*args, **kwargs):
             raise AssertionError("matrix factorized")
 
         rng = np.random.default_rng(81)
+        i = np.arange(12)
         powers = [MatrixPowers(block_triangular_system(rng, 16, k, True)[0]) for k in range(4)]
         powers += [MatrixPowers(m) for m, _, _ in index_matrix_suite(reps=1)]
+        powers.append(MatrixPowers(1.0 / (i[:, None] + i[None, :] + 1.0)))
         for p in powers:
             p.ranges()
         monkeypatch.setattr(np.linalg, "svd", not_called)
         monkeypatch.setattr(np.linalg, "qr", not_called)
+        monkeypatch.setattr(np.linalg, "cholesky", not_called)
         for p in powers:
             dec = core_ep_decompose(p)
             assert (dec.k, dec.rho) == (len(p.ranges()[0]) - 2, p.ranges()[0][-1])
+
+    def test_reconstruction_check_at_every_scale(self):
+        # T perturbed by 1e-6 relative no longer reconstructs the input, at
+        # any scale: the bound is relative to ||m||, with no absolute floor
+        rng = np.random.default_rng(84)
+        m = index_matrix(rng, 8, 2)
+        for scale in (1.0, 1e-150, 1e150):
+            dec = core_ep_decompose(scale * m)
+            noise = rng.standard_normal(dec.t.shape)
+            dec.t = dec.t + 1e-6 * np.abs(dec.t).max() * noise
+            with pytest.raises(NumericalFailureError, match="reconstruct"):
+                _check_decomposition(scale * m, dec, DEFAULT_TOLERANCES)
 
     def test_index_two_where_eigenvalues_blur(self):
         # Perturbed defective zero eigenvalues make a split of this matrix by
@@ -425,7 +444,8 @@ class TestCoreEpRoutes:
         m = index_matrix(np.random.default_rng(24), 5, 1)
         for scale in (1e200, 1e-200):
             dec = core_ep_decompose(scale * m)
-            assert (dec.k, dec.rho) == index_power(m)[::2]
+            ranks = power_ranks(m)
+            assert (dec.k, dec.rho) == (len(ranks) - 2, ranks[-1])
             np.testing.assert_allclose(core_inverse(scale * m) * scale,
                                        core_ep_via_decomposition(m), rtol=1e-9, atol=1e-9)
 
@@ -462,6 +482,31 @@ class TestCoreInverse:
         expected = np.zeros((3, 3))
         expected[:2, :2] = [[1.0, -1e5], [0.0, 1.0]]
         np.testing.assert_allclose(core_inverse(m), expected, rtol=1e-9, atol=1e-6)
+
+
+    def test_backward_error_bound_at_every_scale(self, monkeypatch):
+        # equation (1) holds to a backward error, eps * ||A|| * cond, however
+        # ill-conditioned the core and whatever the scale of A; an X off by
+        # 1e-6 fails it at every scale
+        rng = np.random.default_rng(82)
+        cases = [graded_index_one(rng, 12, 10.0 ** rng.uniform(4.0, 12.0)) for _ in range(100)]
+        scales = (1.0, 1e-150, 1e150, 1e-200, 1e200, 2.0 ** -500)
+        for m in cases:
+            for scale in scales:
+                np.testing.assert_array_equal(core_inverse(scale * m),
+                                              core_ep_via_decomposition(scale * m))
+        noise = rng.standard_normal((12, 12))
+        apply = MatrixPowers.core_ep_apply
+
+        def perturbed(self, w, tol=DEFAULT_TOLERANCES):
+            x = apply(self, w, tol)
+            return x + 1e-6 * np.abs(x).max() * noise
+
+        monkeypatch.setattr(MatrixPowers, "core_ep_apply", perturbed)
+        for m in cases:
+            for scale in scales:
+                with pytest.raises(NumericalFailureError, match="defining equation"):
+                    core_inverse(scale * m)
 
 
 class TestInColumnSpace:

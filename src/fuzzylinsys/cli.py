@@ -126,8 +126,11 @@ def cmd_solve(args) -> int:
     else:
         text = format_report_text(report, tol)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ProblemFormatError(f"cannot write {args.output}: {exc}") from exc
     else:
         print(text)
     return EXIT_OK

@@ -263,7 +263,10 @@ def solve(
     if method == METHOD_INVERSE and k != 0:
         raise IndexTooLargeError(f"direct inversion requires matrix index 0, got {k}")
 
-    x = _from_halves(*(h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, _to_halves(y))))
+    with np.errstate(over="ignore"):
+        x = _from_halves(*(h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, _to_halves(y))))
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError("the solution overflows the floating-point range")
     x0, x1 = x.T.copy()
 
     sx = _s_apply(sys, x)

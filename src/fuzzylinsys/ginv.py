@@ -2,12 +2,15 @@
 
 Provides a numerical rank with an explicit cutoff policy, the Moore-Penrose
 inverse, the matrix index, the core and core-EP inverses (the latter by two
-independent routes), and column-space membership tests.  All functions are
-pure: they take plain ``numpy`` arrays and return new arrays.  The index
-search, the core-EP decomposition, both core-EP routes and the core inverse
-also take a :class:`MatrixPowers`, so that callers asking several questions
-of one matrix decide the ranks of its powers, and find the orthonormal bases
-of their column spaces, once.
+independent routes), and column-space membership tests.  Every result is a
+pure function of the inputs: the functions take plain ``numpy`` arrays and
+return new arrays.  The index search, the core-EP decomposition, both core-EP
+routes and the core inverse read the ranks of the matrix's powers, and the
+orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
+they also take in place of the matrix.  Given a bare matrix, they keep its
+:class:`MatrixPowers` until the next bare matrix arrives (one entry, see
+:func:`_as_powers`), so repeated questions about one matrix decide those
+ranks once either way.
 """
 
 import math
@@ -124,8 +127,10 @@ def moore_penrose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     cutoff = tol.rank_cutoff(a.shape) * (float(s[0]) if s.size else 0.0)
     inv = np.zeros_like(s)
     keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv[keep] = 1.0 / s[keep]
+        x = (vt.T * inv) @ u.T
+    return _finite(x, "Moore-Penrose inverse")
 
 
 def one_three_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -153,7 +158,9 @@ class MatrixPowers:
     core-EP inverse of ``m`` applied through them (:meth:`core_ep_apply`).
 
     ``m`` is copied and the cached arrays are read-only, so callers that
-    share a ``MatrixPowers`` cannot corrupt it.
+    share a ``MatrixPowers`` cannot corrupt it: those that pass one
+    explicitly, and those that pass the same bare matrix in a row, which the
+    engine's functions map to one ``MatrixPowers`` (:func:`_as_powers`).
     """
 
     def __init__(self, m):
@@ -212,11 +219,14 @@ class MatrixPowers:
         _, bases, core, _, _ = self._steps(tol)
         b = bases[-2]
         try:
-            if b.shape[1] == self.n:
-                return np.linalg.solve(self.m, w)
-            return b @ np.linalg.solve(core, b.T @ w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if b.shape[1] == self.n:
+                    x = np.linalg.solve(self.m, w)
+                else:
+                    x = b @ np.linalg.solve(core, b.T @ w)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
+        return _finite(x, "core-EP inverse")
 
     def norm_bound(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> float:
         """``sigma_max(m)`` as :meth:`ranges` found it: from its first SVD, or
@@ -360,7 +370,9 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     ak = np.linalg.matrix_power(a, len(ranks) - 2)
     ak = ak / np.abs(ak).max()
     inner = ak.T @ ak @ a  # (A^T)^k A^(k+1)
-    return ak @ moore_penrose(inner, tol) @ ak.T / c
+    with np.errstate(over="ignore"):
+        x = ak @ moore_penrose(inner, tol) @ ak.T / c
+    return _finite(x, "core-EP inverse")
 
 
 def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -382,8 +394,9 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     x = powers.core_ep_apply(np.eye(powers.n), tol)
     residual = _frobenius(a @ x @ a - a)
     norm = _frobenius(a)
-    # ||a|| ||x|| >= 1 is a condition number, free of the scale of a
-    if residual > tol.equality_tol * norm * (norm * _frobenius(x)):
+    # ||a|| ||x|| >= 1 is a condition number, free of the scale of a; a NaN
+    # residual fails
+    if not residual <= tol.equality_tol * norm * (norm * _frobenius(x)):
         raise NumericalFailureError(
             f"core inverse failed its defining equation (residual {residual:.3e})"
         )
@@ -411,8 +424,36 @@ def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     return residual <= tol.residual_tol * float(np.linalg.norm(v))
 
 
+# The MatrixPowers of the last bare matrix given to _as_powers.
+_last_powers = None
+
+
 def _as_powers(m) -> MatrixPowers:
-    return m if isinstance(m, MatrixPowers) else MatrixPowers(m)
+    """``m`` itself if it is a :class:`MatrixPowers`; for a bare matrix, the
+    :class:`MatrixPowers` of the last bare matrix given here if it has the
+    same shape and the same float64 bits, or else a new one, which replaces
+    it.
+
+    So callers asking several questions of one matrix in a row (its index,
+    its core-EP decomposition, both core-EP routes, its core inverse) share
+    one staircase, and the results are those of a fresh
+    :class:`MatrixPowers`: the entry's ``m`` is a read-only copy and its
+    staircase is cached per tolerance policy.  The bits are compared after
+    :func:`as_square`, so ``-0.0`` for ``0.0`` or any change made to the
+    array in place is a miss.  There is one entry, which holds its matrix and
+    bases until the next bare-matrix call.  Reading and replacing it are
+    single reference operations, so concurrent calls are safe: a race only
+    computes a staircase again.
+    """
+    global _last_powers
+    if isinstance(m, MatrixPowers):
+        return m
+    a = as_square(m)
+    last = _last_powers
+    if last is not None and last.m.shape == a.shape and last.m.tobytes() == a.tobytes():
+        return last
+    powers = _last_powers = MatrixPowers(a)
+    return powers
 
 
 def _svd(a: np.ndarray, compute_uv: bool):
@@ -489,6 +530,13 @@ def _clears(m: np.ndarray, floor: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x``, unless an entry overflowed (or became NaN) while computing it."""
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(f"{what} overflows the floating-point range")
+    return x
 
 
 def _frobenius(m: np.ndarray) -> float:

@@ -188,6 +188,13 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "solve", str(bad))
         assert code == EXIT_PARSE
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(capsys, "solve", str(FIXTURES / "consistent_2x2.json"),
+                                 "--output", str(target))
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
     def test_loader_round_trip(self):
         problem = load_problem(str(FIXTURES / "consistent_3x3.json"))
         assert problem.a.shape == (3, 3)
@@ -296,6 +303,16 @@ class TestInverseCommand:
         assert code == EXIT_NUMERICAL
         assert "index" in err
 
+    @pytest.mark.parametrize("kind", ["core-ep", "core", "moore-penrose"])
+    @pytest.mark.parametrize("a", [[[1e-310, 2e-310], [1e-310, 3e-310]],
+                                   [[5e-324, 0], [0, 0]]], ids=["subnormal", "min"])
+    def test_overflowing_inverse(self, capsys, tmp_path, kind, a):
+        doc = tmp_path / "m.json"
+        doc.write_text(json.dumps({"a": a}))
+        code, out, err = run_cli(capsys, "inverse", str(doc), "--kind", kind)
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+
     def test_rectangular_matrix_rejected(self, capsys, tmp_path):
         doc = tmp_path / "m.json"
         doc.write_text(json.dumps({"a": [[1, 2, 3], [4, 5, 6]]}))
@@ -367,13 +384,18 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["overall"] == "strong"
 
 
+def _source_env():
+    """The environment with PYTHONPATH at the source tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _run_with_closed_stdout(args):
     """Run ``args`` with PYTHONPATH at the source tree, stdout block-buffered
     and a pipe whose reader is gone before anything is written; return (exit
     code, stderr)."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _source_env()
     env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     proc = subprocess.Popen(args, stdout=write_end, stderr=subprocess.PIPE, env=env)
@@ -408,6 +430,21 @@ def test_closed_stdout_keeps_the_error_code():
     assert err == b"error: late failure\n"
 
 
+def test_overflow_leaves_one_line_on_stderr(tmp_path):
+    # the inverse and the solution of a subnormal A overflow: no warning is
+    # printed, only the error
+    rec = {"lower": [1, 1], "upper": [3, -1]}
+    a = [[1e-310, 2e-310], [1e-310, 3e-310]]
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"a": a, "y": [rec, rec]}))
+    env = _source_env()
+    for args in (["inverse", str(doc), "--kind", "moore-penrose"], ["solve", str(doc)]):
+        proc = subprocess.run([sys.executable, "-m", "fuzzylinsys"] + args,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_NUMERICAL and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_solve_does_not_import_scipy_linalg():
     # scipy.linalg is needed only by the gesvd fallback, so importing the
     # package, solving and showing a core-EP decomposition leave it unloaded.
@@ -419,9 +456,7 @@ def test_solve_does_not_import_scipy_linalg():
         "         main(['inverse', sys.argv[2], '--show-decomposition']))\n"
         "print(*codes, 'scipy.linalg' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _source_env()
     proc = subprocess.run(
         [sys.executable, "-c", script, str(FIXTURES / "consistent_2x2.json"),
          str(FIXTURES / "associated_4x4.json")],

@@ -520,6 +520,16 @@ class TestExactRouteCheck:
                 solve(problem)
 
 
+@pytest.mark.parametrize("a, lower, upper", [
+    ([[1e-310, 2e-310], [1e-310, 3e-310]], (1.0, 1.0), (3.0, -1.0)),
+    ([[1e-300]], (1e8, 0.0), (5e7, 0.0)),  # finite halves, overflowing sum
+], ids=["inverse", "halves"])
+def test_overflowing_solution_raises(a, lower, upper):
+    problem = FlsProblem(a=np.array(a), y=[fz(*lower, *upper)] * len(a))
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        solve(problem)
+
+
 def test_one_projection_per_solve_at_index_at_most_one(monkeypatch):
     # at index <= 1 col(S^k) = col(S): the membership test and the Method2-i
     # residual reuse the projection behind the augmented rank

@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -15,7 +17,9 @@ from oracles import exact_rank, svd_staircase_ranks
 
 from fuzzylinsys import (
     DEFAULT_TOLERANCES,
+    CoreEpDecomposition,
     DimensionMismatchError,
+    FuzzyLinSysError,
     IndexTooLargeError,
     MatrixPowers,
     NumericalFailureError,
@@ -31,6 +35,7 @@ from fuzzylinsys import (
     one_three_inverse,
     power_ranks,
     rank,
+    solve,
 )
 from fuzzylinsys.ginv import _check_decomposition, _clears
 
@@ -509,6 +514,26 @@ class TestCoreInverse:
                     core_inverse(scale * m)
 
 
+class TestOverflow:
+    """An inverse beyond the floating-point range raises, without a warning."""
+
+    @pytest.mark.parametrize("a", [[[1e-310, 2e-310], [1e-310, 3e-310]],
+                                   [[5e-324, 0.0], [0.0, 0.0]]], ids=["subnormal", "min"])
+    @pytest.mark.parametrize("inverse", [core_ep_via_decomposition, core_ep_via_formula,
+                                         core_inverse, moore_penrose],
+                             ids=lambda f: f.__name__)
+    def test_overflowing_inverse_raises(self, inverse, a):
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            inverse(np.array(a))
+
+    def test_nan_residual_fails_core_inverse(self, monkeypatch):
+        monkeypatch.setattr(MatrixPowers, "core_ep_apply",
+                            lambda self, w, tol=DEFAULT_TOLERANCES: np.full(w.shape, np.nan))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalFailureError, match="defining equation"):
+            core_inverse(np.eye(2))
+
+
 class TestInColumnSpace:
     def test_worked_memberships(self, consistent_3x3, inconsistent_2x2):
         s2 = matrix_power(consistent_3x3.s, 2)
@@ -592,6 +617,120 @@ class TestTolerancePolicy:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             TolerancePolicy(**bad)
+
+
+# The functions that read a staircase, given a bare matrix or a MatrixPowers.
+STAIRCASE_FUNCTIONS = (power_ranks, matrix_index, core_ep_decompose,
+                       core_ep_via_decomposition, core_ep_via_formula, core_inverse)
+
+
+def _bits(result):
+    """A value equal for two results exactly when their bits are."""
+    if isinstance(result, CoreEpDecomposition):
+        return (result.k,) + tuple(_bits(getattr(result, name))
+                                   for name in ("u", "t", "s_block", "n_block"))
+    if isinstance(result, np.ndarray):
+        return result.shape, result.dtype.str, result.tobytes()
+    return result
+
+
+def _outcome(f, m, tol=DEFAULT_TOLERANCES):
+    try:
+        return _bits(f(m, tol))
+    except FuzzyLinSysError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def staircases(monkeypatch):
+    """The tolerance policy of each staircase run while the test runs."""
+    calls = []
+    staircase = MatrixPowers._staircase
+
+    def counting(self, tol):
+        calls.append(tol)
+        return staircase(self, tol)
+
+    monkeypatch.setattr(MatrixPowers, "_staircase", counting)
+    return calls
+
+
+class TestStaircaseMemo:
+    """Given a bare matrix, the engine keeps its MatrixPowers until the next
+    bare matrix: results are those of a fresh MatrixPowers."""
+
+    def test_results_are_those_of_a_fresh_staircase(self):
+        suite = [scale * m for m, _, _ in index_matrix_suite(reps=1)
+                 for scale in (1.0, 1e-150, 1e150)]
+        for a, b in zip(suite, suite[1:]):
+            for f in STAIRCASE_FUNCTIONS:
+                for m in (a, a, b, a):
+                    assert _outcome(f, m) == _outcome(f, MatrixPowers(m))
+
+    def test_one_staircase_per_matrix_and_policy(self, staircases):
+        # the questions of demos/01 about one matrix, with rank and
+        # moore_penrose between them, and the same matrix in another layout
+        m = index_matrix(np.random.default_rng(95), 6, 1)
+        other = TolerancePolicy(rank_rel_tol=1e-10)
+        for tol in (DEFAULT_TOLERANCES, other):
+            for _ in range(2):
+                assert matrix_index(m, tol) == 1
+                rank(m, tol)
+                core_ep_via_formula(m, tol)
+                moore_penrose(m, tol)
+                core_ep_via_decomposition(np.asfortranarray(m), tol)
+                core_ep_decompose(m.tolist(), tol)
+                core_inverse(m.copy(), tol)
+        assert staircases == [DEFAULT_TOLERANCES, other]
+
+    def test_changed_bits_are_a_miss(self, staircases):
+        m = index_matrix(np.random.default_rng(96), 5, 2)
+        m[0, 1] = 0.0
+        before = _outcome(core_ep_via_decomposition, m)
+        assert matrix_index(m) == matrix_index(m)
+        assert len(staircases) == 1
+        m[0, 1] = -0.0
+        assert _outcome(core_ep_via_decomposition, m) == \
+            _outcome(core_ep_via_decomposition, MatrixPowers(m))
+        assert len(staircases) == 3
+        m[2, 2] += 1.0  # in place
+        after = _outcome(core_ep_via_decomposition, m)
+        assert after == _outcome(core_ep_via_decomposition, MatrixPowers(m))
+        assert after != before
+        assert len(staircases) == 5
+
+    def test_solve_takes_its_own_staircases(self, staircases, consistent_2x2):
+        solve(consistent_2x2.problem)
+        solve(consistent_2x2.problem)
+        assert len(staircases) == 2 + 2
+
+    def test_threads_alternating_two_matrices(self):
+        rng = np.random.default_rng(97)
+        mats = [index_matrix(rng, 12, 1), index_matrix(rng, 12, 2)]
+        serial = [[_outcome(f, m) for f in STAIRCASE_FUNCTIONS] for m in mats]
+        errors = []
+
+        def work(first):
+            try:
+                for j in range(40):
+                    i = (first + j) % 2
+                    if [_outcome(f, mats[i]) for f in STAIRCASE_FUNCTIONS] != serial[i]:
+                        errors.append(f"thread {first}, call {j}: results differ")
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 def test_block_pair_suite_shapes():

@@ -19,8 +19,10 @@ matrix is formed or factorized: products with S go through the half-blocks
 too.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,12 +120,6 @@ class AssociatedSystem:
         peak = np.maximum(np.abs(y).max(axis=0), _TINY)
         return y, peak, np.linalg.norm(y / peak, axis=0)
 
-    @cached_property
-    def _projections(self) -> dict:
-        """The residuals ``(I - P) y`` and their ranks found so far, by
-        tolerance policy and bases (:func:`_project`)."""
-        return {}
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -184,17 +180,7 @@ def classify(sys: AssociatedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES) -
     the orthogonal projector onto the column space of S, so
     ``rank_aug >= rank_s`` by construction.
     """
-    ranges = [h.ranges(tol) for h in sys.halves]
-    rank_s = sum(ranks[1] for ranks, _ in ranges)
-    index_s = max(len(ranks) - 2 for ranks, _ in ranges)
-    rank_aug = rank_s + _project(sys, [b[1] for _, b in ranges], tol)[1]
-    if rank_s < rank_aug:
-        kind = INCONSISTENT
-    elif rank_s == 2 * sys.n:
-        kind = CONSISTENT_UNIQUE
-    else:
-        kind = CONSISTENT_INFINITE
-    return Classification(kind=kind, rank_s=rank_s, rank_aug=rank_aug, index_s=index_s)
+    return _analyse(sys, tol).classification
 
 
 def core_ep_from_blocks(d, e, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -237,24 +223,24 @@ def solve(
     docstring), with B the basis of ``col(M**k)`` of each half-block M at its
     own index k.  Y lies in the column space of ``S**k`` when its residual
     ``(I - P) Y`` against the orthogonal projector P onto that space has rank
-    0 (see :func:`classify`), and the solution is ``S^ce Y``, from
+    0; that test and the classification of :func:`classify` are made once,
+    in one analysis.  The solution is ``S^ce Y``, from
     ``B (B^T M B)^-1 B^T`` on each half; at index 0, B = I and this is the
     plain solve.
 
     The residual is the max over r in [0, 1] of the infinity norm of
     ``S X(r) - Y(r)`` for exact solutions, or of the auxiliary-system
-    mismatch ``S X(r) - P Y(r)`` for generalized ones.  An exact solution
+    mismatch ``S X(r) - P Y(r)`` for generalized ones, as
+    :func:`verify_solution` computes it; a generalized Method 2-ii solution
+    reports ``(S**k)^T P (S X(r) - Y(r))`` instead.  An exact solution
     whose residual exceeds the backward-error bound of
     :class:`~fuzzylinsys.ginv.TolerancePolicy` raises
     :class:`~fuzzylinsys.errors.NumericalFailureError`.
     """
     sys = build_associated(problem)
-    cls = classify(sys, tol)
+    cls, bases, outside, member = _analyse(sys, tol)
     k = cls.index_s
     y = sys._rhs[0]
-    bases = _bases(sys, tol)
-    outside, excess = _project(sys, bases, tol)
-    member = excess == 0
 
     if method is None:
         method = METHOD_INVERSE if k == 0 else METHOD_CORE_EP if member else METHOD_2I
@@ -269,19 +255,16 @@ def solve(
         raise NumericalFailureError("the solution overflows the floating-point range")
     x0, x1 = x.T.copy()
 
-    sx = _s_apply(sys, x)
-    if member:
-        g = sx - y
+    if member or method != METHOD_2II:
+        g = _mismatch(sys, x, None if member else outside)
         residual = _max_over_r(g)
-        if _beyond_backward_error(g, x, sys, tol):
+        if member and _beyond_backward_error(g, x, sys, tol):
             raise NumericalFailureError(
                 f"exact route left residual {residual:.3e}; membership test and "
                 "solution disagree under the tolerance policy"
             )
-    elif method == METHOD_2II:
-        residual = _max_over_r(_power_transpose_apply(sys, bases, k, sx - y))
     else:
-        residual = _max_over_r(sx - y + outside)
+        residual = _max_over_r(_power_transpose_apply(sys, bases, k, _mismatch(sys, x)))
 
     fuzzy_x = _to_fuzzy(x0, x1, sys.n)
     verdicts = [validity(fn, tol.equality_tol) for fn in fuzzy_x]
@@ -307,24 +290,60 @@ def verify_solution(
     Exact solutions are checked against the original right-hand side;
     generalized ones against the right-hand side ``P Y(r)`` of the auxiliary
     consistent system, P the orthogonal projector onto the column space of
-    ``S**k`` that :func:`solve` uses (equal to ``S^k (S^k)^(1,3)``).
+    ``S**k`` that :func:`solve` uses (equal to ``S^k (S^k)^(1,3)``).  So it
+    returns the report's own residual, bit for bit, except for a generalized
+    Method 2-ii report, whose residual is ``(S**k)^T`` applied to this one.
     """
-    rhs = sys._rhs[0]
-    if report.is_generalized:
-        rhs = rhs - _outside(_bases(sys, tol), rhs)
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
-    return _max_over_r(_s_apply(sys, x) - rhs)
+    outside = _analyse(sys, tol).outside if report.is_generalized else None
+    return _max_over_r(_mismatch(sys, x, outside))
+
+
+class _Analysis(NamedTuple):
+    """What :func:`_analyse` finds out about a system under a tolerance policy."""
+
+    classification: Classification
+    bases: list  # orthonormal bases of col(|A|**k) and col(A**k), k each one's index
+    outside: np.ndarray  # (I - P) y, P the orthogonal projector onto col(S**k)
+    member: bool  # whether y lies in col(S**k)
+
+
+def _analyse(sys: AssociatedSystem, tol: TolerancePolicy) -> _Analysis:
+    """Classify the system and test its right-hand side for membership in
+    ``col(S**k)``, from the half-blocks' rank staircases: ``rank_aug`` comes
+    from the projection onto ``col(S)``, and the membership from the one onto
+    ``col(S**k)``, the same projection unless ``index_s > 1`` (at index <= 1
+    each half's ``bases[-2]`` is its ``bases[1]``)."""
+    ranges = [h.ranges(tol) for h in sys.halves]
+    rank_s = sum(ranks[1] for ranks, _ in ranges)
+    index_s = max(len(ranks) - 2 for ranks, _ in ranges)
+    outside = _outside([b[1] for _, b in ranges], sys._rhs[0])
+    excess = _residual_rank(outside, sys, tol)
+    rank_aug = rank_s + excess
+    if rank_s < rank_aug:
+        kind = INCONSISTENT
+    elif rank_s == 2 * sys.n:
+        kind = CONSISTENT_UNIQUE
+    else:
+        kind = CONSISTENT_INFINITE
+    bases = [b[-2] for _, b in ranges]
+    if index_s > 1:
+        outside = _outside(bases, sys._rhs[0])
+        excess = _residual_rank(outside, sys, tol)
+    return _Analysis(Classification(kind, rank_s, rank_aug, index_s), bases, outside, excess == 0)
 
 
 def _to_halves(v: np.ndarray):
-    """``(top + bottom, top - bottom)`` of a 2n-row array: ``sqrt(2) Q v``."""
+    """``((top + bottom) / 2, (top - bottom) / 2)`` of a 2n-row array,
+    ``Q v / sqrt(2)``, each half taken before the sum so that none overflows."""
     n = v.shape[0] // 2
-    return v[:n] + v[n:], v[:n] - v[n:]
+    top, bottom = 0.5 * v[:n], 0.5 * v[n:]
+    return top + bottom, top - bottom
 
 
 def _from_halves(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``[p + q; p - q] / 2``: the inverse of :func:`_to_halves`, ``Q [p; q] / sqrt(2)``."""
-    return 0.5 * np.concatenate([p + q, p - q])
+    """``[p + q; p - q]``: the inverse of :func:`_to_halves`, ``sqrt(2) Q [p; q]``."""
+    return np.concatenate([p + q, p - q])
 
 
 def _s_apply(sys: AssociatedSystem, x: np.ndarray) -> np.ndarray:
@@ -332,31 +351,18 @@ def _s_apply(sys: AssociatedSystem, x: np.ndarray) -> np.ndarray:
     return _from_halves(*(h.m @ xi for h, xi in zip(sys.halves, _to_halves(x))))
 
 
-def _bases(sys: AssociatedSystem, tol: TolerancePolicy):
-    """Orthonormal bases of the column spaces of ``|A|**k`` and ``A**k``,
-    each half-block at its own index k; Q turns them into a basis of the
-    column space of ``S**k``."""
-    return [h.ranges(tol)[1][-2] for h in sys.halves]
+def _mismatch(sys: AssociatedSystem, x: np.ndarray, outside=None) -> np.ndarray:
+    """``S x - y`` for the generators y of ``sys``, or, given ``outside =
+    (I - P) y``, the auxiliary system's ``S x - P y``: the one residual behind
+    every report's and :func:`verify_solution`'s number."""
+    g = _s_apply(sys, x) - sys._rhs[0]
+    return g if outside is None else g + outside
 
 
 def _outside(bases, y: np.ndarray) -> np.ndarray:
     """``(I - P) y`` for a 2n-row y, P the orthogonal projector onto the
-    column space that ``bases`` (from :func:`_bases`) span."""
+    column space that ``bases``, one per half-block, span with Q."""
     return _from_halves(*(w - b @ (b.T @ w) for b, w in zip(bases, _to_halves(y))))
-
-
-def _project(sys: AssociatedSystem, bases, tol: TolerancePolicy):
-    """``((I - P) y, rank)`` for the generators y of ``sys`` and P the
-    orthogonal projector onto the column space ``bases`` span
-    (:func:`_outside`, :func:`_residual_rank`), computed once per system,
-    tolerance policy and bases: at index <= 1 the bases of ``col(S**k)`` are
-    those of ``col(S)``, so :func:`solve` reuses what :func:`classify` found.
-    Each entry keeps its bases alive, so the ids in its key stay theirs."""
-    key = (tol, *map(id, bases))
-    if key not in sys._projections:
-        outside = _outside(bases, sys._rhs[0])
-        sys._projections[key] = bases, outside, _residual_rank(outside, sys, tol)
-    return sys._projections[key][1:]
 
 
 def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -> int:
@@ -387,18 +393,23 @@ def _beyond_backward_error(g: np.ndarray, x: np.ndarray, sys: AssociatedSystem,
     """Whether a column of the residual ``g = S x - y`` of a solution x for
     the generators y of ``sys`` exceeds ``residual_tol * (||S|| ||x_i|| +
     ||y_i||)``: whether x is not a backward-stable solution under the
-    tolerance policy.  The norms are taken on the scale of ``sys._rhs``, and
-    ``||S||``, the larger ``sigma_max`` of the half-blocks, is the one their
-    staircases found (:meth:`ginv.MatrixPowers.norm_bound`)."""
+    tolerance policy.  ``||S||``, the larger ``sigma_max`` of the
+    half-blocks, is the one their staircases found
+    (:meth:`ginv.MatrixPowers.norm_bound`).  Each column is divided by the
+    power of two of the larger of the largest entry of ``y_i`` and ``||S||``
+    times that of ``x_i``, so no term overflows, whatever the scales of y, S
+    and x."""
     _, peak, size = sys._rhs
-    s_norm = max(h.norm_bound(tol) for h in sys.halves)
-    bound = tol.residual_tol * (np.linalg.norm(x / peak * s_norm, axis=0) + size)
-    return bool(np.any(np.linalg.norm(g / peak, axis=0) > bound))
+    mant, exp = math.frexp(max(h.norm_bound(tol) for h in sys.halves))
+    e = np.maximum(np.frexp(peak)[1], exp + np.frexp(np.abs(x).max(axis=0))[1])
+    sx = mant * np.linalg.norm(np.ldexp(x, exp - e), axis=0)
+    bound = tol.residual_tol * (sx + size * np.ldexp(peak, -e))
+    return bool(np.any(np.linalg.norm(np.ldexp(g, -e), axis=0) > bound))
 
 
 def _power_transpose_apply(sys: AssociatedSystem, bases, k: int, g: np.ndarray):
     """``(S**k)^T g = (S**k)^T P g`` through the half-blocks, P the projector
-    onto the column space of ``S**k`` that ``bases`` (from :func:`_bases`)
+    onto the column space of ``S**k`` that ``bases`` (from :func:`_analyse`)
     span, by k products with each ``M^T``: no power is formed, and a
     half-block whose power is numerically zero contributes zero."""
     halves = []

@@ -215,15 +215,22 @@ class MatrixPowers:
         """``m^ce @ w`` as ``B (B^T m B)^-1 B^T w``, B the basis of the column
         space of ``m**k`` at the index k (Wang's core-EP decomposition), with
         the core ``B^T m B`` that :meth:`ranges` kept; at index 0, B = I and
-        this is ``solve(m, w)``."""
+        this is ``solve(m, w)``.
+
+        The system is solved with both sides scaled by the power of two that
+        brings the largest entry of the matrix into [1/2, 1): the same x, so
+        normal-range results are unchanged bit for bit, but LAPACK never takes
+        the reciprocal of a subnormal pivot."""
         _, bases, core, _, _ = self._steps(tol)
         b = bases[-2]
+        full = b.shape[1] == self.n
+        m = self.m if full else core
+        e = math.frexp(np.abs(m).max() if m.size else 0.0)[1]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if b.shape[1] == self.n:
-                    x = np.linalg.solve(self.m, w)
-                else:
-                    x = b @ np.linalg.solve(core, b.T @ w)
+                x = np.linalg.solve(np.ldexp(m, -e), np.ldexp(w if full else b.T @ w, -e))
+                if not full:
+                    x = b @ x
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
         return _finite(x, "core-EP inverse")

@@ -330,6 +330,27 @@ class TestVerifySolution:
         assert gap_at_0 == pytest.approx(3.25, abs=1e-9)
         assert residual == pytest.approx(7.0, abs=1e-9)
 
+    def test_returns_the_report_residual(self):
+        # one residual function: re-substitution gives the report's number
+        # bit for bit, except for Method 2-ii's (S^k)^T-weighted residual
+        rng = np.random.default_rng(58)
+        checked = 0
+        for a, _, _ in index_matrix_suite():
+            n = a.shape[0]
+            s = build_associated(stacked_problem(a, np.zeros(2 * n), np.zeros(2 * n))).s
+            for inside in (np.eye(2 * n), matrix_power(s, n)):
+                problem = stacked_problem(a, *(inside @ rng.standard_normal((2 * n, 2))).T)
+                for method in (None, METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I, METHOD_2II):
+                    try:
+                        report = solve(problem, method=method)
+                    except IndexTooLargeError:
+                        continue
+                    if report.is_generalized and report.method == METHOD_2II:
+                        continue
+                    assert verify_solution(build_associated(problem), report) == report.residual
+                    checked += 1
+        assert checked > 1000
+
 
 class TestColumnSpaceTheorem:
     def test_membership_gives_exact_solution(self):
@@ -478,6 +499,49 @@ class TestReportInvariants:
         assert report.is_generalized
 
 
+def _invariance_cases():
+    for method in (METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I, METHOD_2II):
+        for p in (300, -300, 600, -600, None):
+            marks = ()
+            if method == METHOD_2II and p == 600:
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "the Method 2-ii residual (S^k)^T P (S x - y) overflows with "
+                    "RuntimeWarnings at index >= 2"))
+            label = "permuted" if p is None else f"2^{p}"
+            yield pytest.param(method, p, id=f"{method}-{label}", marks=marks)
+
+
+@pytest.mark.parametrize("method, p", _invariance_cases())
+def test_scale_and_permutation_invariance(method, p):
+    # A * 2^p solves to x * 2^-p, and P A P^T with y permuted to P x, with the
+    # same decisions and no warning: roundoff scales exactly by a power of two
+    # and LAPACK's pivoting follows the rows
+    rng = np.random.default_rng(59)
+    for a, _, _ in index_matrix_suite():
+        n = a.shape[0]
+        y0, y1 = rng.standard_normal((2, 2 * n))
+        perm = rng.permutation(n)
+        rows = np.concatenate([perm, n + perm])
+        if p is None:
+            moved = stacked_problem(a[np.ix_(perm, perm)], y0[rows], y1[rows])
+        else:
+            moved = stacked_problem(np.ldexp(a, p), y0, y1)
+        try:
+            base = solve(stacked_problem(a, y0, y1), method=method)
+        except IndexTooLargeError:
+            with pytest.raises(IndexTooLargeError):
+                solve(moved, method=method)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(moved, method=method)
+        assert (report.classification, report.method, report.is_generalized) == (
+            base.classification, base.method, base.is_generalized)
+        for got, x in ((report.crisp_x0, base.crisp_x0), (report.crisp_x1, base.crisp_x1)):
+            want = x[rows] if p is None else np.ldexp(x, -p)
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+
+
 def graded_problems(count):
     """Nonsingular n = 12 systems, the singular values of A graded from 1 down
     to 1e-2..1e-12, with a random right-hand side."""
@@ -521,18 +585,40 @@ class TestExactRouteCheck:
 
 
 @pytest.mark.parametrize("a, lower, upper", [
-    ([[1e-310, 2e-310], [1e-310, 3e-310]], (1.0, 1.0), (3.0, -1.0)),
-    ([[1e-300]], (1e8, 0.0), (5e7, 0.0)),  # finite halves, overflowing sum
-], ids=["inverse", "halves"])
+    ([[1e-310, 2e-310], [1e-310, 3e-310]], (1.0, 1.0), (3.0, -1.0)),  # x about 1e310
+], ids=["inverse"])
 def test_overflowing_solution_raises(a, lower, upper):
     problem = FlsProblem(a=np.array(a), y=[fz(*lower, *upper)] * len(a))
     with pytest.raises(NumericalFailureError, match="overflows"):
         solve(problem)
 
 
-def test_one_projection_per_solve_at_index_at_most_one(monkeypatch):
+@pytest.mark.parametrize("a, lower, upper, x0", [
+    ([[1e-300]], (1e8, 0.0), (5e7, 0.0), [1e308, -5e307]),  # halves near the top
+    ([[1.0]], (-1.7e308, 0.0), (1.7e308, 0.0), [-1.7e308, -1.7e308]),  # y_top + y_bot overflows
+    ([[1e-310]], (1e-10, 0.0), (2e-10, 0.0), [1e300, -2e300]),  # a subnormal pivot
+], ids=["halves", "identity", "subnormal-pivot"])
+def test_representable_solution_is_returned(a, lower, upper, x0):
+    problem = FlsProblem(a=np.array(a), y=[fz(*lower, *upper)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(problem)
+    np.testing.assert_allclose(report.crisp_x0, x0, rtol=1e-12)
+    np.testing.assert_array_equal(report.crisp_x1, [0.0, 0.0])
+    assert not report.is_generalized
+
+
+def test_tiny_component_beside_a_huge_one():
+    # the solve scales by the matrix's power of two, not by the right-hand
+    # side's, so a component 1e-400 times the largest is not flushed to zero
+    report = solve(FlsProblem(a=np.eye(2), y=[fz(1e300, 0, 1e300, 0), fz(1e-100, 0, 1e-100, 0)]))
+    np.testing.assert_array_equal(report.crisp_x0, [1e300, 1e-100, -1e300, -1e-100])
+
+
+def test_projections_per_solve(monkeypatch):
     # at index <= 1 col(S^k) = col(S): the membership test and the Method2-i
-    # residual reuse the projection behind the augmented rank
+    # residual reuse the projection behind the augmented rank; above, the
+    # membership test projects once more, onto col(S^k)
     calls = []
     outside = fls._outside
 
@@ -543,13 +629,14 @@ def test_one_projection_per_solve_at_index_at_most_one(monkeypatch):
     monkeypatch.setattr(fls, "_outside", counting)
     rng = np.random.default_rng(92)
     routes = set()
-    for k, consistent in ((0, True), (1, True), (1, False)):
-        for n in (3, 8, 16):
+    for k, consistent in ((0, True), (1, True), (1, False), (2, True), (2, False),
+                          (3, True), (3, False)):
+        for n in (3, 8, 16) if k < 3 else (4, 8, 16):
             a, y0, y1 = block_triangular_system(rng, n, k, consistent)
             calls.clear()
             report = solve(stacked_problem(a, y0, y1))
             assert report.classification.index_s == k
-            assert len(calls) == 1
+            assert len(calls) == (1 if k <= 1 else 2)
             routes.add(report.method)
     assert routes == {METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I}
 

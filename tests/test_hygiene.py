@@ -1,6 +1,6 @@
 """Static checks on the package source, parsed with the stdlib ``ast``: no
-module imports a name it never uses, and every name an ``__all__`` lists
-exists."""
+module imports a name it never uses, every name an ``__all__`` lists exists,
+and no module reads another package module's private names."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,37 @@ def _all(tree):
 def test_all_names_resolve(path):
     tree = ast.parse(path.read_text(), str(path))
     assert sorted(set(_all(tree)) - set(_top_level_names(tree))) == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(tree):
+    """``module._name`` reads and ``from .module import _name`` imports of
+    another package module's private names."""
+    stems = {p.stem for p in PACKAGE.glob("*.py")}
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == PACKAGE.name
+        ):
+            for alias in node.names:
+                if alias.name in stems:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    yield f"from {node.module or '.'} import {alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith(PACKAGE.name + ".") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            yield f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_name_of_another_module(path):
+    tree = ast.parse(path.read_text(), str(path))
+    assert sorted(_private_reads(tree)) == []

@@ -122,7 +122,10 @@ def cmd_solve(args) -> int:
     tol = _tolerances_from_flags(args)
     report = fls.solve(problem, tol, method=_METHOD_FLAGS[args.method])
     if args.format == "json":
-        text = json.dumps(report_to_dict(report, tol), indent=2)
+        try:  # RFC 8259 has no Infinity or NaN
+            text = json.dumps(report_to_dict(report, tol), indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalFailureError(f"the report is not valid JSON: {exc}") from exc
     else:
         text = format_report_text(report, tol)
     if args.output:
@@ -142,8 +145,9 @@ def cmd_inverse(args) -> int:
     a = load_matrix(args.input)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"inverse requires a square matrix, got {a.shape}")
-    powers = ginv.MatrixPowers(a)  # one staircase for the inverse and the decomposition
-    x = _INVERSE_KINDS[args.kind](powers.m if args.kind == "moore-penrose" else powers)
+    # every kind and the decomposition share one staircase and one SVD
+    powers = ginv.MatrixPowers(a)
+    x = _INVERSE_KINDS[args.kind](powers)
     print(f"{args.kind} inverse ({a.shape[0]}x{a.shape[1]}):")
     print(format_matrix(x, args.precision))
     if args.show_decomposition:

@@ -7,10 +7,12 @@ pure function of the inputs: the functions take plain ``numpy`` arrays and
 return new arrays.  The index search, the core-EP decomposition, both core-EP
 routes and the core inverse read the ranks of the matrix's powers, and the
 orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
-they also take in place of the matrix.  Given a bare matrix, they keep its
+they also take in place of the matrix; the Moore-Penrose inverse of a square
+matrix reads the SVD that the :class:`MatrixPowers` keeps, which the first
+step of its staircase shares.  Given a bare matrix, they keep its
 :class:`MatrixPowers` until the next bare matrix arrives (one entry, see
 :func:`_as_powers`), so repeated questions about one matrix decide those
-ranks once either way.
+ranks, and factorize the matrix, once either way.
 """
 
 import math
@@ -121,16 +123,19 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
 
 
 def moore_penrose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Moore-Penrose inverse by SVD, dropping singular values below the cutoff."""
-    a = as_matrix(m)
-    u, s, vt = _svd(a, compute_uv=True)
-    cutoff = tol.rank_cutoff(a.shape) * (float(s[0]) if s.size else 0.0)
-    inv = np.zeros_like(s)
-    keep = s > cutoff
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv[keep] = 1.0 / s[keep]
-        x = (vt.T * inv) @ u.T
-    return _finite(x, "Moore-Penrose inverse")
+    """Moore-Penrose inverse ``V S^+ U^T`` from the thin SVD ``U S V^T``,
+    dropping singular values below the rank cutoff.
+
+    A square ``m``, bare or a :class:`MatrixPowers`, reads the SVD its
+    :class:`MatrixPowers` keeps (see :func:`_as_powers`), which the first step
+    of its staircase shares; a non-square ``m`` takes its own.
+    """
+    if not isinstance(m, MatrixPowers):
+        m = as_matrix(m)
+        if m.shape[0] != m.shape[1]:
+            return _pseudoinverse(_svd(m, compute_uv=True), m.shape, tol)
+    powers = _as_powers(m)
+    return _pseudoinverse(powers._thin_svd(), powers.m.shape, tol)
 
 
 def one_three_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -156,6 +161,10 @@ class MatrixPowers:
     bases of their column spaces, computed once per tolerance policy, on
     first use, without forming any power (see :meth:`ranges`), and the
     core-EP inverse of ``m`` applied through them (:meth:`core_ep_apply`).
+    It also keeps one thin SVD of ``m``, computed on first use whatever the
+    policy: the first step of every staircase that cannot certify ``m``
+    nonsingular takes its singular values and vectors from it, and
+    :func:`moore_penrose` reads it.
 
     ``m`` is copied and the cached arrays are read-only, so callers that
     share a ``MatrixPowers`` cannot corrupt it: those that pass one
@@ -168,6 +177,7 @@ class MatrixPowers:
         self.m.flags.writeable = False
         self.n = self.m.shape[0]
         self._ranges = {}
+        self._usv = None
 
     def ranges(self, tol: TolerancePolicy = DEFAULT_TOLERANCES):
         """``(ranks, bases)``: the ranks of ``m**0, m**1, ...`` up to the first
@@ -198,16 +208,17 @@ class MatrixPowers:
         vectors of C decides and, where the rank dropped, gives the basis the
         next step needs.  So a nonsingular m takes one Gram product and one
         Cholesky factorization and each drop those and one SVD of an r x r
-        core.  The certificate needs ``sigma_min(C) / ||C||_F`` above about
-        ``sqrt(3 (r + 2) eps)`` (3e-7 at r = 128, a condition of about
-        1e6); a core between that and 10 times the floor pays an SVD although
-        its rank holds.  The last step's core, ``B^T m B`` at the index, is
-        kept for :meth:`core_ep_apply`, and at each drop the dropped left
-        singular vectors with the basis they are expressed in, which
-        :func:`core_ep_decompose` reads.  Always terminates with j <= n + 1 in
-        exact arithmetic; if the rank sequence has not stabilized by then the
-        tolerance policy is inconsistent with the matrix and a numerical
-        failure is raised.
+        core; at j = 1 that SVD is the one of m this object keeps for
+        :func:`moore_penrose`.  The certificate needs
+        ``sigma_min(C) / ||C||_F`` above about ``sqrt(3 (r + 2) eps)`` (3e-7 at
+        r = 128, a condition of about 1e6); a core between that and 10 times
+        the floor pays an SVD although its rank holds.  The last step's core,
+        ``B^T m B`` at the index, is kept for :meth:`core_ep_apply`, and at
+        each drop the dropped left singular vectors with the basis they are
+        expressed in, which :func:`core_ep_decompose` reads.  Always
+        terminates with j <= n + 1 in exact arithmetic; if the rank sequence
+        has not stabilized by then the tolerance policy is inconsistent with
+        the matrix and a numerical failure is raised.
         """
         return self._steps(tol)[:2]
 
@@ -241,6 +252,16 @@ class MatrixPowers:
         unnecessary."""
         return self._steps(tol)[4]
 
+    def _thin_svd(self):
+        """``(u, s, vt)``, the thin SVD of ``m``, computed on first use and
+        kept read-only: it does not depend on the tolerance policy."""
+        if self._usv is None:
+            usv = tuple(_svd(self.m, compute_uv=True))
+            for factor in usv:
+                factor.flags.writeable = False
+            self._usv = usv
+        return self._usv
+
     def _steps(self, tol: TolerancePolicy):
         if tol not in self._ranges:
             self._ranges[tol] = self._staircase(tol)
@@ -261,7 +282,7 @@ class MatrixPowers:
                 if _clears(core, j * cutoff * smax):
                     r = ranks[-1]
                 else:
-                    u, s, _ = _svd(core, compute_uv=True)
+                    u, s, _ = self._thin_svd() if j == 1 else _svd(core, compute_uv=True)
                     if j == 1:
                         smax = s[0]
                     r = int(np.count_nonzero(s > j * cutoff * smax))
@@ -377,8 +398,10 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     ak = np.linalg.matrix_power(a, len(ranks) - 2)
     ak = ak / np.abs(ak).max()
     inner = ak.T @ ak @ a  # (A^T)^k A^(k+1)
+    # not moore_penrose(inner): the memo of _as_powers keeps A, not inner
+    inner_pinv = _pseudoinverse(_svd(inner, compute_uv=True), inner.shape, tol)
     with np.errstate(over="ignore"):
-        x = ak @ moore_penrose(inner, tol) @ ak.T / c
+        x = ak @ inner_pinv @ ak.T / c
     return _finite(x, "core-EP inverse")
 
 
@@ -442,15 +465,16 @@ def _as_powers(m) -> MatrixPowers:
     it.
 
     So callers asking several questions of one matrix in a row (its index,
-    its core-EP decomposition, both core-EP routes, its core inverse) share
-    one staircase, and the results are those of a fresh
-    :class:`MatrixPowers`: the entry's ``m`` is a read-only copy and its
-    staircase is cached per tolerance policy.  The bits are compared after
-    :func:`as_square`, so ``-0.0`` for ``0.0`` or any change made to the
-    array in place is a miss.  There is one entry, which holds its matrix and
-    bases until the next bare-matrix call.  Reading and replacing it are
-    single reference operations, so concurrent calls are safe: a race only
-    computes a staircase again.
+    its core-EP decomposition, both core-EP routes, its core inverse, its
+    Moore-Penrose inverse) share one staircase and one SVD, and the results
+    are those of a fresh :class:`MatrixPowers`: the entry's ``m`` is a
+    read-only copy, its staircase is cached per tolerance policy and its SVD
+    once.  The bits are compared after :func:`as_square`, so ``-0.0`` for
+    ``0.0`` or any change made to the array in place is a miss.  There is one
+    entry, which holds its matrix, bases and SVD until the next bare-matrix
+    call.  Reading and replacing it are single reference operations, so
+    concurrent calls are safe: a race only computes a staircase or an SVD
+    again.
     """
     global _last_powers
     if isinstance(m, MatrixPowers):
@@ -461,6 +485,19 @@ def _as_powers(m) -> MatrixPowers:
         return last
     powers = _last_powers = MatrixPowers(a)
     return powers
+
+
+def _pseudoinverse(usv, shape, tol: TolerancePolicy) -> np.ndarray:
+    """``V S^+ U^T`` from the thin SVD ``usv = (U, S, V^T)`` of a matrix of the
+    given shape, ``S^+`` inverting the singular values above the rank cutoff
+    and zeroing the rest."""
+    u, s, vt = usv
+    inv = np.zeros_like(s)
+    keep = s > tol.rank_cutoff(shape) * s[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv[keep] = 1.0 / s[keep]
+        x = (vt.T * inv) @ u.T
+    return _finite(x, "Moore-Penrose inverse")
 
 
 def _svd(a: np.ndarray, compute_uv: bool):

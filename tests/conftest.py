@@ -1,4 +1,5 @@
-"""Shared fixtures: the three worked systems with their published values."""
+"""Shared fixtures: the three worked systems with their published values, and
+a record of the SVDs a test makes."""
 
 from types import SimpleNamespace
 
@@ -114,3 +115,17 @@ def assert_fuzzy_matches(fuzzy_x, expected, tol=1e-9):
         assert abs(fn.lower.c1 - l1) <= tol
         assert abs(fn.upper.c0 - u0) <= tol
         assert abs(fn.upper.c1 - u1) <= tol
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shape of each matrix given to ``np.linalg.svd`` while the test runs."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes

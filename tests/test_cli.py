@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,22 @@ class TestSolveCommand:
         assert out.splitlines()[0] == (
             "classification : Inconsistent  (rank S = 2, rank [S|Y] = 3, index = 1)"
         )
+
+    def test_json_report_holds_no_non_finite_number(self, capsys, tmp_path):
+        # the Method 2-ii residual of this index-2 system overflows; JSON has
+        # no Infinity, so the report is a numerical failure, not written
+        big = math.ldexp(1.0, 600)
+        doc = tmp_path / "p.json"
+        doc.write_text(json.dumps({"a": [[big, big], [-big, -big]],
+                                   "y": [{"lower": [1, 0], "upper": [2, 0]},
+                                         {"lower": [0, 0], "upper": [0, 0]}]}))
+        target = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, "solve", str(doc), "--method", "method2-ii",
+                                     "--format", "json", "--output", str(target))
+        assert code == EXIT_NUMERICAL and out == "" and not target.exists()
+        assert err.startswith("error: ") and "JSON" in err and err.count("\n") == 1
 
     def test_bad_tolerance_flag(self, capsys):
         code, _, err = run_cli(
@@ -256,6 +274,17 @@ class TestInverseCommand:
                                    "--show-decomposition")
             assert code == (EXIT_NUMERICAL if kind == "core" else EXIT_OK)
             assert len(calls) == 1
+
+    def test_moore_penrose_shares_the_staircase_svd(self, capsys, tmp_path, svd_shapes):
+        # one SVD of the 4x4 matrix serves the pseudoinverse and the first
+        # step of the staircase; the second step factorizes its 2x2 core
+        doc = tmp_path / "m.json"
+        doc.write_text(json.dumps({"a": [[0, 1, 1, 0], [0, 1, 1, 0],
+                                         [1, 0, 0, 1], [1, 0, 0, 1]]}))
+        code, out, _ = run_cli(capsys, "inverse", str(doc), "--kind", "moore-penrose",
+                               "--show-decomposition")
+        assert code == EXIT_OK and "index = 2" in out
+        assert svd_shapes == [(4, 4), (2, 2)]
 
     def test_huge_entries_do_not_overflow(self, capsys, tmp_path):
         # (A^T)^k A^(k+1) would be ~1e330 here; the inverse itself is tiny

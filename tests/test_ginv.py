@@ -523,8 +523,9 @@ class TestOverflow:
                                          core_inverse, moore_penrose],
                              ids=lambda f: f.__name__)
     def test_overflowing_inverse_raises(self, inverse, a):
-        with pytest.raises(NumericalFailureError, match="overflows"):
-            inverse(np.array(a))
+        for m in (np.array(a), MatrixPowers(a)):
+            with pytest.raises(NumericalFailureError, match="overflows"):
+                inverse(m)
 
     def test_nan_residual_fails_core_inverse(self, monkeypatch):
         monkeypatch.setattr(MatrixPowers, "core_ep_apply",
@@ -621,7 +622,8 @@ class TestTolerancePolicy:
 
 # The functions that read a staircase, given a bare matrix or a MatrixPowers.
 STAIRCASE_FUNCTIONS = (power_ranks, matrix_index, core_ep_decompose,
-                       core_ep_via_decomposition, core_ep_via_formula, core_inverse)
+                       core_ep_via_decomposition, core_ep_via_formula, core_inverse,
+                       moore_penrose)
 
 
 def _bits(result):
@@ -653,6 +655,48 @@ def staircases(monkeypatch):
 
     monkeypatch.setattr(MatrixPowers, "_staircase", counting)
     return calls
+
+
+def _direct_moore_penrose(m):
+    """The reference: ``V S^+ U^T`` from an SVD of ``m`` taken here."""
+    a = np.asarray(m, dtype=float)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    inv = np.zeros_like(s)
+    keep = s > DEFAULT_TOLERANCES.rank_cutoff(a.shape) * s[0]
+    inv[keep] = 1.0 / s[keep]
+    return (vt.T * inv) @ u.T
+
+
+class TestSharedSvd:
+    """A MatrixPowers keeps one SVD of its matrix: the first step of its
+    staircase and moore_penrose read it."""
+
+    def test_moore_penrose_bits_are_those_of_its_own_svd(self):
+        rng = np.random.default_rng(98)
+        square = [scale * m for m, _, _ in index_matrix_suite()
+                  for scale in (1.0, 1e-150, 1e150)]
+        rectangular = [rng.standard_normal((p, 2)) @ rng.standard_normal((2, q))
+                       for p, q in ((3, 5), (5, 3)) for _ in range(10)]
+        for m in square + rectangular:
+            for given in (m, np.asfortranarray(m), m.tolist()):
+                assert _bits(moore_penrose(given)) == _bits(_direct_moore_penrose(given))
+            if m.shape[0] == m.shape[1]:
+                assert _bits(moore_penrose(MatrixPowers(m))) == \
+                    _bits(_direct_moore_penrose(m))
+
+    def test_one_svd_per_matrix(self, staircases, svd_shapes):
+        m = index_matrix(np.random.default_rng(99), 8, 2)
+        assert matrix_index(m) == 2
+        calls = len(svd_shapes)
+        assert svd_shapes[0] == (8, 8) and staircases == [DEFAULT_TOLERANCES]
+        moore_penrose(m)
+        moore_penrose(np.asfortranarray(m))
+        assert len(svd_shapes) == calls and len(staircases) == 1
+        # the formula's own pseudoinverse leaves the memo to m
+        other = index_matrix(np.random.default_rng(100), 8, 1)
+        core_ep_via_formula(other)
+        core_ep_decompose(other)
+        assert len(staircases) == 2
 
 
 class TestStaircaseMemo:

@@ -230,15 +230,16 @@ def solve(
 
     The residual is the max over r in [0, 1] of the infinity norm of
     ``S X(r) - Y(r)`` for exact solutions, or of the auxiliary-system
-    mismatch ``S X(r) - P Y(r)`` for generalized ones, as
-    :func:`verify_solution` computes it; a generalized Method 2-ii solution
-    reports ``(S**k)^T P (S X(r) - Y(r))`` instead.  An exact solution
+    mismatch ``S X(r) - P Y(r)`` for generalized ones, whatever the method,
+    as :func:`verify_solution` computes it.  Methods 2-i and 2-ii are two
+    auxiliary formulations of the one solution ``S^ce Y``, so they report
+    the same x and the same residual.  An exact solution
     whose residual exceeds the backward-error bound of
     :class:`~fuzzylinsys.ginv.TolerancePolicy` raises
     :class:`~fuzzylinsys.errors.NumericalFailureError`.
     """
     sys = build_associated(problem)
-    cls, bases, outside, member = _analyse(sys, tol)
+    cls, outside, member = _analyse(sys, tol)
     k = cls.index_s
     y = sys._rhs[0]
 
@@ -255,16 +256,13 @@ def solve(
         raise NumericalFailureError("the solution overflows the floating-point range")
     x0, x1 = x.T.copy()
 
-    if member or method != METHOD_2II:
-        g = _mismatch(sys, x, None if member else outside)
-        residual = _max_over_r(g)
-        if member and _beyond_backward_error(g, x, sys, tol):
-            raise NumericalFailureError(
-                f"exact route left residual {residual:.3e}; membership test and "
-                "solution disagree under the tolerance policy"
-            )
-    else:
-        residual = _max_over_r(_power_transpose_apply(sys, bases, k, _mismatch(sys, x)))
+    g = _mismatch(sys, x, None if member else outside)
+    residual = _max_over_r(g)
+    if member and _beyond_backward_error(g, x, sys, tol):
+        raise NumericalFailureError(
+            f"exact route left residual {residual:.3e}; membership test and "
+            "solution disagree under the tolerance policy"
+        )
 
     fuzzy_x = _to_fuzzy(x0, x1, sys.n)
     verdicts = [validity(fn, tol.equality_tol) for fn in fuzzy_x]
@@ -291,8 +289,7 @@ def verify_solution(
     generalized ones against the right-hand side ``P Y(r)`` of the auxiliary
     consistent system, P the orthogonal projector onto the column space of
     ``S**k`` that :func:`solve` uses (equal to ``S^k (S^k)^(1,3)``).  So it
-    returns the report's own residual, bit for bit, except for a generalized
-    Method 2-ii report, whose residual is ``(S**k)^T`` applied to this one.
+    returns the report's own residual, bit for bit, for every method.
     """
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
     outside = _analyse(sys, tol).outside if report.is_generalized else None
@@ -303,7 +300,6 @@ class _Analysis(NamedTuple):
     """What :func:`_analyse` finds out about a system under a tolerance policy."""
 
     classification: Classification
-    bases: list  # orthonormal bases of col(|A|**k) and col(A**k), k each one's index
     outside: np.ndarray  # (I - P) y, P the orthogonal projector onto col(S**k)
     member: bool  # whether y lies in col(S**k)
 
@@ -326,11 +322,10 @@ def _analyse(sys: AssociatedSystem, tol: TolerancePolicy) -> _Analysis:
         kind = CONSISTENT_UNIQUE
     else:
         kind = CONSISTENT_INFINITE
-    bases = [b[-2] for _, b in ranges]
     if index_s > 1:
-        outside = _outside(bases, sys._rhs[0])
+        outside = _outside([b[-2] for _, b in ranges], sys._rhs[0])
         excess = _residual_rank(outside, sys, tol)
-    return _Analysis(Classification(kind, rank_s, rank_aug, index_s), bases, outside, excess == 0)
+    return _Analysis(Classification(kind, rank_s, rank_aug, index_s), outside, excess == 0)
 
 
 def _to_halves(v: np.ndarray):
@@ -405,20 +400,6 @@ def _beyond_backward_error(g: np.ndarray, x: np.ndarray, sys: AssociatedSystem,
     sx = mant * np.linalg.norm(np.ldexp(x, exp - e), axis=0)
     bound = tol.residual_tol * (sx + size * np.ldexp(peak, -e))
     return bool(np.any(np.linalg.norm(np.ldexp(g, -e), axis=0) > bound))
-
-
-def _power_transpose_apply(sys: AssociatedSystem, bases, k: int, g: np.ndarray):
-    """``(S**k)^T g = (S**k)^T P g`` through the half-blocks, P the projector
-    onto the column space of ``S**k`` that ``bases`` (from :func:`_analyse`)
-    span, by k products with each ``M^T``: no power is formed, and a
-    half-block whose power is numerically zero contributes zero."""
-    halves = []
-    for h, b, gi in zip(sys.halves, bases, _to_halves(g)):
-        gi = b @ (b.T @ gi)
-        for _ in range(k):
-            gi = h.m.T @ gi
-        halves.append(gi)
-    return _from_halves(*halves)
 
 
 def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:

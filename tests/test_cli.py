@@ -122,20 +122,36 @@ class TestSolveCommand:
         )
 
     def test_json_report_holds_no_non_finite_number(self, capsys, tmp_path):
-        # the Method 2-ii residual of this index-2 system overflows; JSON has
-        # no Infinity, so the report is a numerical failure, not written
-        big = math.ldexp(1.0, 600)
+        # the projection of this right-hand side overflows and its residual is
+        # NaN; JSON has no NaN, so the report is a numerical failure, not written
+        big = 1.7e308
         doc = tmp_path / "p.json"
-        doc.write_text(json.dumps({"a": [[big, big], [-big, -big]],
-                                   "y": [{"lower": [1, 0], "upper": [2, 0]},
-                                         {"lower": [0, 0], "upper": [0, 0]}]}))
+        doc.write_text(json.dumps({"a": [[1, -1], [1, -1]],
+                                   "y": [{"lower": [big, big], "upper": [big, big]},
+                                         {"lower": [0, 0], "upper": [big, 0]}]}))
         target = tmp_path / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_cli(capsys, "solve", str(doc), "--method", "method2-ii",
-                                     "--format", "json", "--output", str(target))
+            code, out, err = run_cli(capsys, "solve", str(doc), "--format", "json",
+                                     "--output", str(target))
         assert code == EXIT_NUMERICAL and out == "" and not target.exists()
-        assert err.startswith("error: ") and "JSON" in err and err.count("\n") == 1
+        assert err.startswith("error: the report is not valid JSON") and err.count("\n") == 1
+
+        # this index-2 system's Method 2-ii residual once overflowed; it is the
+        # Method 2-i residual, finite and with no warning
+        big = math.ldexp(1.0, 600)
+        doc.write_text(json.dumps({"a": [[big, big], [-big, -big]],
+                                   "y": [{"lower": [1, 0], "upper": [2, 0]},
+                                         {"lower": [0, 0], "upper": [0, 0]}]}))
+        residuals = []
+        for method in ("method2-i", "method2-ii"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "solve", str(doc), "--method", method,
+                                         "--format", "json")
+            assert code == EXIT_OK and err == ""
+            residuals.append(json.loads(out)["residual"])
+        assert math.isfinite(residuals[0]) and residuals[0] == residuals[1]
 
     def test_bad_tolerance_flag(self, capsys):
         code, _, err = run_cli(

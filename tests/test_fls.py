@@ -269,7 +269,7 @@ class TestSolveWorkedSystems:
         np.testing.assert_array_equal(r1.crisp_x1, r2.crisp_x1)
         for a, b in zip(r1.fuzzy_x, r2.fuzzy_x):
             assert fuzzy_eq(a, b, tol=0.0)
-        assert r2.residual <= RES_TOL
+        assert r1.residual == r2.residual <= RES_TOL
 
     def test_zero_system(self):
         p = FlsProblem(a=np.zeros((2, 2)), y=[fz(0, 0, 0, 0)] * 2)
@@ -332,7 +332,7 @@ class TestVerifySolution:
 
     def test_returns_the_report_residual(self):
         # one residual function: re-substitution gives the report's number
-        # bit for bit, except for Method 2-ii's (S^k)^T-weighted residual
+        # bit for bit, whatever the method
         rng = np.random.default_rng(58)
         checked = 0
         for a, _, _ in index_matrix_suite():
@@ -344,8 +344,6 @@ class TestVerifySolution:
                     try:
                         report = solve(problem, method=method)
                     except IndexTooLargeError:
-                        continue
-                    if report.is_generalized and report.method == METHOD_2II:
                         continue
                     assert verify_solution(build_associated(problem), report) == report.residual
                     checked += 1
@@ -498,17 +496,27 @@ class TestReportInvariants:
         assert report.classification.kind == INCONSISTENT
         assert report.is_generalized
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "_outside projects the raw y, and b.T @ w overflows before "
+        "_residual_rank rescales"))
+    def test_right_hand_side_near_the_float_range(self):
+        # at y * 1e308 and below this system has rank [S | Y] = 4; at 1.7e308
+        # the projection overflows, and the report reads rank 3 and a NaN residual
+        big = 1.7e308
+        problem = FlsProblem(a=np.array([[1.0, -1.0], [1.0, -1.0]]),
+                             y=[fz(big, big, big, big), fz(0, 0, big, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(problem)
+        assert report.classification.rank_aug == 4
+        assert np.isfinite(report.residual)
+
 
 def _invariance_cases():
     for method in (METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I, METHOD_2II):
         for p in (300, -300, 600, -600, None):
-            marks = ()
-            if method == METHOD_2II and p == 600:
-                marks = pytest.mark.xfail(strict=True, reason=(
-                    "the Method 2-ii residual (S^k)^T P (S x - y) overflows with "
-                    "RuntimeWarnings at index >= 2"))
             label = "permuted" if p is None else f"2^{p}"
-            yield pytest.param(method, p, id=f"{method}-{label}", marks=marks)
+            yield pytest.param(method, p, id=f"{method}-{label}")
 
 
 @pytest.mark.parametrize("method, p", _invariance_cases())

@@ -1,6 +1,7 @@
 """Static checks on the package source, parsed with the stdlib ``ast``: no
 module imports a name it never uses, every name an ``__all__`` lists exists,
-and no module reads another package module's private names."""
+no module reads another package module's private names, and no private
+top-level name goes unused."""
 
 import ast
 from pathlib import Path
@@ -28,13 +29,17 @@ def test_every_import_is_used(path):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
-def _top_level_names(tree):
+def _defined_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _top_level_names(tree):
+    yield from _defined_names(tree)
     yield from _imported_names(tree)
 
 
@@ -85,3 +90,21 @@ def _private_reads(tree):
 def test_no_private_name_of_another_module(path):
     tree = ast.parse(path.read_text(), str(path))
     assert sorted(_private_reads(tree)) == []
+
+
+def _loaded_names():
+    """Every name the package source reads, as a bare name or an attribute;
+    a mention in a docstring or comment is not a read."""
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text(), str(path))
+    private = {name for name in _defined_names(tree) if _private(name)}
+    assert sorted(private - set(_loaded_names())) == []

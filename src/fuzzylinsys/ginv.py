@@ -9,10 +9,12 @@ routes and the core inverse read the ranks of the matrix's powers, and the
 orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
 they also take in place of the matrix; the Moore-Penrose inverse of a square
 matrix reads the SVD that the :class:`MatrixPowers` keeps, which the first
-step of its staircase shares.  Given a bare matrix, they keep its
-:class:`MatrixPowers` until the next bare matrix arrives (one entry, see
-:func:`_as_powers`), so repeated questions about one matrix decide those
-ranks, and factorize the matrix, once either way.
+step of its staircase shares; the core-EP inverse and the core inverse
+read the one core-EP inverse that the :class:`MatrixPowers` keeps per
+tolerance policy, and each returns its own copy.  Given a bare matrix, they
+keep its :class:`MatrixPowers` until the next bare matrix arrives (one
+entry, see :func:`_as_powers`), so repeated questions about one matrix
+decide those ranks, factorize the matrix and invert it once either way.
 """
 
 import math
@@ -164,7 +166,12 @@ class MatrixPowers:
     It also keeps one thin SVD of ``m``, computed on first use whatever the
     policy: the first step of every staircase that cannot certify ``m``
     nonsingular takes its singular values and vectors from it, and
-    :func:`moore_penrose` reads it.
+    :func:`moore_penrose` reads it.  Per tolerance policy it keeps the
+    core-EP inverse ``m^ce``, computed on first use by one
+    :meth:`core_ep_apply` of the identity, which
+    :func:`core_ep_via_decomposition` and :func:`core_inverse` copy.  The
+    largest entry of ``m`` and ``||m||_F`` are taken once, here, for the
+    staircase, its certificate, the solve and the checks.
 
     ``m`` is copied and the cached arrays are read-only, so callers that
     share a ``MatrixPowers`` cannot corrupt it: those that pass one
@@ -176,8 +183,11 @@ class MatrixPowers:
         self.m = as_square(m).copy()
         self.m.flags.writeable = False
         self.n = self.m.shape[0]
+        self._peak = float(np.abs(self.m).max())
+        self._norm = _frobenius(self.m, self._peak)
         self._ranges = {}
         self._usv = None
+        self._inverses = {}
 
     def ranges(self, tol: TolerancePolicy = DEFAULT_TOLERANCES):
         """``(ranks, bases)``: the ranks of ``m**0, m**1, ...`` up to the first
@@ -236,7 +246,8 @@ class MatrixPowers:
         b = bases[-2]
         full = b.shape[1] == self.n
         m = self.m if full else core
-        e = math.frexp(np.abs(m).max() if m.size else 0.0)[1]
+        peak = self._peak if full else (np.abs(m).max() if m.size else 0.0)
+        e = math.frexp(peak)[1]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 x = np.linalg.solve(np.ldexp(m, -e), np.ldexp(w if full else b.T @ w, -e))
@@ -251,6 +262,16 @@ class MatrixPowers:
         the upper bound ``||m||_F`` where the certificate made that SVD
         unnecessary."""
         return self._steps(tol)[4]
+
+    def _inverse(self, tol: TolerancePolicy) -> np.ndarray:
+        """``m^ce``, computed on first use per tolerance policy and kept
+        read-only; callers return copies of it."""
+        x = self._inverses.get(tol)
+        if x is None:
+            x = self.core_ep_apply(np.eye(self.n), tol)
+            x.flags.writeable = False
+            self._inverses[tol] = x
+        return x
 
     def _thin_svd(self):
         """``(u, s, vt)``, the thin SVD of ``m``, computed on first use and
@@ -272,14 +293,14 @@ class MatrixPowers:
         eye = np.eye(self.n)
         eye.flags.writeable = False
         ranks, bases, drops = [self.n], [eye], []
-        smax = _frobenius(self.m)  # >= sigma_max(m); step 1's SVD replaces it
+        smax = self._norm  # >= sigma_max(m); step 1's SVD replaces it
         for j in range(1, self.n + 2):
             # a power after a zero power is zero
             r, b, core = 0, bases[-1], np.zeros((0, 0))
             if ranks[-1]:
                 # col(m B) lies in col(B) for j >= 2, so m B = B core
                 core = self.m if j == 1 else b.T @ (self.m @ b)
-                if _clears(core, j * cutoff * smax):
+                if _clears(core, j * cutoff * smax, self._peak if j == 1 else None):
                     r = ranks[-1]
                 else:
                     u, s, _ = self._thin_svd() if j == 1 else _svd(core, compute_uv=True)
@@ -352,7 +373,7 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     dec = CoreEpDecomposition(
         u=u, t=core.copy(), s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2
     )
-    _check_decomposition(a, dec, tol)
+    _check_decomposition(powers, dec, tol)
     return dec
 
 
@@ -364,10 +385,11 @@ def core_ep_via_decomposition(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> n
     basis of the column space of ``m**k``, and ``t = B^T m B``, that is
     ``B (B^T m B)^-1 B^T``, so it is computed as such
     (:meth:`MatrixPowers.core_ep_apply`) without assembling ``u``.  ``m`` is
-    a square matrix or a :class:`MatrixPowers`.
+    a square matrix or a :class:`MatrixPowers`; the inverse is computed once
+    per matrix and policy and kept there, and each call returns a new copy
+    of it.
     """
-    powers = _as_powers(m)
-    return powers.core_ep_apply(np.eye(powers.n), tol)
+    return _as_powers(m)._inverse(tol).copy()
 
 
 def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -393,7 +415,7 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
         return np.zeros_like(powers.m)  # nilpotent: empty nonsingular part
     # The formula is unchanged by scaling A^k and scales as 1/c with A; at
     # unit scale the products stay finite.
-    c = np.abs(powers.m).max()
+    c = powers._peak
     a = powers.m / c
     ak = np.linalg.matrix_power(a, len(ranks) - 2)
     ak = ak / np.abs(ak).max()
@@ -409,9 +431,10 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Core inverse; defined only for matrices of index <= 1.
 
     For index <= 1 the core-EP inverse coincides with the core inverse, so the
-    value is ``B (B^T A B)^-1 B^T`` (:meth:`MatrixPowers.core_ep_apply`, as in
-    :func:`core_ep_via_decomposition`), additionally verified against
-    equation (1), ``A X A = A``, as a backward error:
+    value is ``B (B^T A B)^-1 B^T``: a copy of the core-EP inverse that the
+    :class:`MatrixPowers` keeps, the one :func:`core_ep_via_decomposition`
+    copies.  Every call verifies it against equation (1), ``A X A = A``, as a
+    backward error:
     ``||A X A - A||_F <= equality_tol * ||A||_F * (||A||_F ||X||_F)``.  A
     backward-stable X passes however ill-conditioned the core, a wrong one
     does not, and scaling A moves neither side.
@@ -421,9 +444,9 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     if k > 1:
         raise IndexTooLargeError(f"core inverse requires matrix index <= 1, got {k}")
     a = powers.m
-    x = powers.core_ep_apply(np.eye(powers.n), tol)
+    x = powers._inverse(tol).copy()
     residual = _frobenius(a @ x @ a - a)
-    norm = _frobenius(a)
+    norm = powers._norm
     # ||a|| ||x|| >= 1 is a condition number, free of the scale of a; a NaN
     # residual fails
     if not residual <= tol.equality_tol * norm * (norm * _frobenius(x)):
@@ -466,22 +489,25 @@ def _as_powers(m) -> MatrixPowers:
 
     So callers asking several questions of one matrix in a row (its index,
     its core-EP decomposition, both core-EP routes, its core inverse, its
-    Moore-Penrose inverse) share one staircase and one SVD, and the results
-    are those of a fresh :class:`MatrixPowers`: the entry's ``m`` is a
-    read-only copy, its staircase is cached per tolerance policy and its SVD
-    once.  The bits are compared after :func:`as_square`, so ``-0.0`` for
-    ``0.0`` or any change made to the array in place is a miss.  There is one
-    entry, which holds its matrix, bases and SVD until the next bare-matrix
-    call.  Reading and replacing it are single reference operations, so
-    concurrent calls are safe: a race only computes a staircase or an SVD
-    again.
+    Moore-Penrose inverse) share one staircase, one SVD and one core-EP
+    inverse, and the results are those of a fresh :class:`MatrixPowers`: the
+    entry's ``m`` is a read-only copy, its staircase and core-EP inverse are
+    cached per tolerance policy and its SVD once.  The bits are compared
+    after :func:`as_square`, so ``-0.0`` for ``0.0`` or any change made to
+    the array in place is a miss, and the same values in another memory
+    layout (Fortran order, a strided or transposed view) are a hit.  There
+    is one entry, which holds its matrix, bases, SVD and inverses until the
+    next bare-matrix call.  Reading and replacing it are single reference
+    operations, so concurrent calls are safe: a race only computes a
+    staircase, an SVD or an inverse again.
     """
     global _last_powers
     if isinstance(m, MatrixPowers):
         return m
     a = as_square(m)
     last = _last_powers
-    if last is not None and last.m.shape == a.shape and last.m.tobytes() == a.tobytes():
+    # views as integers compare bits, in any memory layout, without a copy
+    if last is not None and np.array_equal(last.m.view(np.uint64), a.view(np.uint64)):
         return last
     powers = _last_powers = MatrixPowers(a)
     return powers
@@ -525,10 +551,11 @@ _CERTIFICATE_MARGIN = 10.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _clears(m: np.ndarray, floor: float) -> bool:
+def _clears(m: np.ndarray, floor: float, peak: float | None = None) -> bool:
     """Whether the smallest singular value of the square matrix ``m``
     certainly exceeds ``_CERTIFICATE_MARGIN * floor``: a Cholesky
-    factorization of the shifted Gram matrix ``g - s I`` succeeds.
+    factorization of the shifted Gram matrix ``g - s I`` succeeds.  ``peak``,
+    the largest entry of ``m`` in magnitude, is taken here unless given.
 
     With ``a = m / peak`` (peak the largest entry), ``g = a^T a`` and
     ``f = trace(g) = ||a||_F**2 >= 1``, k the order of m and eps the machine
@@ -556,7 +583,8 @@ def _clears(m: np.ndarray, floor: float) -> bool:
     (``False``), never a warning; ``floor / peak`` is taken first so that
     ``10 floor`` cannot overflow.
     """
-    peak = float(np.abs(m).max())
+    if peak is None:
+        peak = float(np.abs(m).max())
     if not 0.0 < peak < math.inf:
         return False
     a = m / peak
@@ -583,16 +611,20 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _frobenius(m: np.ndarray) -> float:
+def _frobenius(m: np.ndarray, peak: float | None = None) -> float:
     """``||m||_F``, an upper bound on ``sigma_max(m)``, without overflow or
-    underflow at any scale of the entries."""
-    peak = np.abs(m).max()
+    underflow at any scale of the entries; ``peak``, the largest entry of
+    ``m`` in magnitude, is taken here unless given."""
+    if peak is None:
+        peak = np.abs(m).max()
     return float(peak * np.linalg.norm(m / peak)) if peak else 0.0
 
 
-def _check_decomposition(a: np.ndarray, dec: CoreEpDecomposition, tol: TolerancePolicy):
-    """Raise unless the factors reconstruct ``a`` to ``equality_tol * ||a||_F``:
-    ``u`` is orthonormal, so the error is a backward error of about
-    ``eps ||a||``, judged on the scale of ``a`` alone."""
-    if _frobenius(dec.assemble() - a) > tol.equality_tol * _frobenius(a):
+def _check_decomposition(powers: MatrixPowers, dec: CoreEpDecomposition,
+                         tol: TolerancePolicy):
+    """Raise unless the factors reconstruct ``a = powers.m`` to
+    ``equality_tol * ||a||_F``: ``u`` is orthonormal, so the error is a
+    backward error of about ``eps ||a||``, judged on the scale of ``a``
+    alone."""
+    if _frobenius(dec.assemble() - powers.m) > tol.equality_tol * powers._norm:
         raise NumericalFailureError("block triangularization does not reconstruct the input")

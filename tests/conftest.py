@@ -1,5 +1,5 @@
 """Shared fixtures: the three worked systems with their published values, and
-a record of the SVDs a test makes."""
+a record of the SVDs and linear solves a test makes."""
 
 from types import SimpleNamespace
 
@@ -128,4 +128,18 @@ def svd_shapes(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+@pytest.fixture
+def solve_shapes(monkeypatch):
+    """The shape of each matrix given to ``np.linalg.solve`` while the test runs."""
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
     return shapes

@@ -37,6 +37,7 @@ from fuzzylinsys import (
     rank,
     solve,
 )
+from fuzzylinsys import ginv
 from fuzzylinsys.ginv import _check_decomposition, _clears
 
 EQ_TOL = 1e-9
@@ -367,7 +368,7 @@ class TestCoreEpDecompose:
             noise = rng.standard_normal(dec.t.shape)
             dec.t = dec.t + 1e-6 * np.abs(dec.t).max() * noise
             with pytest.raises(NumericalFailureError, match="reconstruct"):
-                _check_decomposition(scale * m, dec, DEFAULT_TOLERANCES)
+                _check_decomposition(MatrixPowers(scale * m), dec, DEFAULT_TOLERANCES)
 
     def test_index_two_where_eigenvalues_blur(self):
         # Perturbed defective zero eigenvalues make a split of this matrix by
@@ -508,6 +509,8 @@ class TestCoreInverse:
             return x + 1e-6 * np.abs(x).max() * noise
 
         monkeypatch.setattr(MatrixPowers, "core_ep_apply", perturbed)
+        # an inverse kept from before the patch would skip the perturbation
+        monkeypatch.setattr(ginv, "_last_powers", None)
         for m in cases:
             for scale in scales:
                 with pytest.raises(NumericalFailureError, match="defining equation"):
@@ -530,6 +533,8 @@ class TestOverflow:
     def test_nan_residual_fails_core_inverse(self, monkeypatch):
         monkeypatch.setattr(MatrixPowers, "core_ep_apply",
                             lambda self, w, tol=DEFAULT_TOLERANCES: np.full(w.shape, np.nan))
+        # an inverse kept from an earlier test would skip the patch
+        monkeypatch.setattr(ginv, "_last_powers", None)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NumericalFailureError, match="defining equation"):
             core_inverse(np.eye(2))
@@ -727,6 +732,14 @@ class TestStaircaseMemo:
                 core_inverse(m.copy(), tol)
         assert staircases == [DEFAULT_TOLERANCES, other]
 
+    def test_other_layouts_are_a_hit(self, staircases):
+        # the bits are compared, not the memory layout
+        m = index_matrix(np.random.default_rng(94), 6, 1)
+        strided = np.repeat(m, 2, axis=1)[:, ::2]
+        for given in (m, np.asfortranarray(m), m.T.T, strided, m.tolist()):
+            assert matrix_index(given) == 1
+        assert len(staircases) == 1
+
     def test_changed_bits_are_a_miss(self, staircases):
         m = index_matrix(np.random.default_rng(96), 5, 2)
         m[0, 1] = 0.0
@@ -775,6 +788,51 @@ class TestStaircaseMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+# The questions of one ginv-engine op, and of ``inverse --show-decomposition``
+# asked for every kind.
+ENGINE_SEQUENCE = (core_ep_via_formula, core_ep_decompose, core_ep_via_decomposition,
+                   moore_penrose, core_inverse)
+
+
+class TestKeptInverse:
+    """A MatrixPowers keeps its core-EP inverse: the core-EP and core inverses
+    copy the one kept, so an engine op solves once."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(ginv, "_last_powers", None)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["bare", "MatrixPowers"])
+    def test_engine_call_budget(self, index, explicit, staircases, svd_shapes, solve_shapes):
+        # one solve for the inverse, one staircase, and two SVDs: that of m,
+        # which the staircase and moore_penrose share, and the formula's
+        m = index_matrix(np.random.default_rng(110 + index), 8, index)
+        given = MatrixPowers(m) if explicit else m
+        for f in ENGINE_SEQUENCE:
+            f(given)
+        assert len(solve_shapes) == 1 and staircases == [DEFAULT_TOLERANCES]
+        assert len(svd_shapes) == 2 and (8, 8) in svd_shapes
+
+    def test_core_inverse_first(self, solve_shapes):
+        m = index_matrix(np.random.default_rng(112), 8, 1)
+        np.testing.assert_array_equal(core_inverse(m), core_ep_via_decomposition(m))
+        assert len(solve_shapes) == 1
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["bare", "MatrixPowers"])
+    def test_results_are_the_callers_own(self, explicit):
+        m = index_matrix(np.random.default_rng(113), 6, 1)
+        given = MatrixPowers(m) if explicit else m
+        fresh = [_bits(f(MatrixPowers(m))) for f in (core_ep_via_decomposition, core_inverse)]
+        for _ in range(2):
+            x, y = core_ep_via_decomposition(given), core_inverse(given)
+            assert x.flags.writeable and y.flags.writeable
+            assert not np.shares_memory(x, y)
+            assert [_bits(x), _bits(y)] == fresh
+            x[...] = 7.0
+            y[...] = -1.0
 
 
 def test_block_pair_suite_shapes():

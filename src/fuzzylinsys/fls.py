@@ -15,8 +15,15 @@ half-block's own rank sequence is the only rank decision; classification,
 the membership test and the solve then read their answers from one
 orthonormal basis B per half-block power, and ``M^ce = B (B^T M B)^-1 B^T``
 with B a basis of ``col(M**k)`` (Wang's core-EP decomposition).  No 2n x 2n
-matrix is formed or factorized: products with S go through the half-blocks
-too.
+matrix is formed or factorized.
+
+The solver works in half coordinates: a 2n-row v is held as ``Q v /
+sqrt(2)``, the rows for ``|A|`` stacked over those for ``A``.  The
+right-hand side is taken there once per system (``AssociatedSystem._rhs``),
+and every stage reads it: the projections, the solve on each half-block and
+the residual ``M x_h - w_h`` of each.  Q is orthogonal, so every 2-norm rule
+reads the same there; only the solution and the infinity norm of the
+reported residual are taken back to full coordinates.
 """
 
 import math
@@ -111,14 +118,17 @@ class AssociatedSystem:
 
     @cached_property
     def _rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(y, peak, size)``: the generators ``y = [y0 y1]``, the largest
-        entry of each (raised to the smallest normal float, so that a zero
-        one divides by that) and the norm of each divided by it: the scale on
-        which every residual of this system is judged (:func:`_residual_rank`);
-        built on first use."""
-        y = np.column_stack([self.y0, self.y1])
-        peak = np.maximum(np.abs(y).max(axis=0), _TINY)
-        return y, peak, np.linalg.norm(y / peak, axis=0)
+        """``(w, peak, size)``: the generators ``y = [y0 y1]`` in half
+        coordinates, ``w = Q y / sqrt(2)`` with the rows for ``|A|`` over
+        those for ``A``; the largest entry of each column of w (raised to the
+        smallest normal float, so that a zero one divides by that); and the
+        norm of each column divided by it: the unit scale on which every
+        residual of this system is judged (:func:`_residual_rank`).  y is
+        halved before the butterfly adds, so no entry of w overflows; built
+        on first use."""
+        w = _butterfly(0.5 * np.column_stack([self.y0, self.y1]))
+        peak = np.maximum(np.abs(w).max(axis=0), _TINY)
+        return w, peak, np.linalg.norm(w / peak, axis=0)
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,7 @@ def solve(
     sys = build_associated(problem)
     cls, outside, member = _analyse(sys, tol)
     k = cls.index_s
-    y = sys._rhs[0]
+    w, n = sys._rhs[0], sys.n
 
     if method is None:
         method = METHOD_INVERSE if k == 0 else METHOD_CORE_EP if member else METHOD_2I
@@ -251,14 +261,17 @@ def solve(
         raise IndexTooLargeError(f"direct inversion requires matrix index 0, got {k}")
 
     with np.errstate(over="ignore"):
-        x = _from_halves(*(h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, _to_halves(y))))
+        x = _butterfly(np.concatenate(
+            [h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, (w[:n], w[n:]))]))
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError("the solution overflows the floating-point range")
     x0, x1 = x.T.copy()
 
-    g = _mismatch(sys, x, None if member else outside)
+    # the reported x, taken into halves as verify_solution takes it
+    x_h = _butterfly(0.5 * x)
+    g = _mismatch(sys, x_h, None if member else outside)
     residual = _max_over_r(g)
-    if member and _beyond_backward_error(g, x, sys, tol):
+    if member and _beyond_backward_error(g, x_h, sys, tol):
         raise NumericalFailureError(
             f"exact route left residual {residual:.3e}; membership test and "
             "solution disagree under the tolerance policy"
@@ -293,14 +306,14 @@ def verify_solution(
     """
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
     outside = _analyse(sys, tol).outside if report.is_generalized else None
-    return _max_over_r(_mismatch(sys, x, outside))
+    return _max_over_r(_mismatch(sys, _butterfly(0.5 * x), outside))
 
 
 class _Analysis(NamedTuple):
     """What :func:`_analyse` finds out about a system under a tolerance policy."""
 
     classification: Classification
-    outside: np.ndarray  # (I - P) y, P the orthogonal projector onto col(S**k)
+    outside: np.ndarray  # (I - P) w / peak of sys._rhs, P the projector onto col(S**k)
     member: bool  # whether y lies in col(S**k)
 
 
@@ -313,7 +326,7 @@ def _analyse(sys: AssociatedSystem, tol: TolerancePolicy) -> _Analysis:
     ranges = [h.ranges(tol) for h in sys.halves]
     rank_s = sum(ranks[1] for ranks, _ in ranges)
     index_s = max(len(ranks) - 2 for ranks, _ in ranges)
-    outside = _outside([b[1] for _, b in ranges], sys._rhs[0])
+    outside = _outside([b[1] for _, b in ranges], sys)
     excess = _residual_rank(outside, sys, tol)
     rank_aug = rank_s + excess
     if rank_s < rank_aug:
@@ -323,59 +336,57 @@ def _analyse(sys: AssociatedSystem, tol: TolerancePolicy) -> _Analysis:
     else:
         kind = CONSISTENT_INFINITE
     if index_s > 1:
-        outside = _outside([b[-2] for _, b in ranges], sys._rhs[0])
+        outside = _outside([b[-2] for _, b in ranges], sys)
         excess = _residual_rank(outside, sys, tol)
     return _Analysis(Classification(kind, rank_s, rank_aug, index_s), outside, excess == 0)
 
 
-def _to_halves(v: np.ndarray):
-    """``((top + bottom) / 2, (top - bottom) / 2)`` of a 2n-row array,
-    ``Q v / sqrt(2)``, each half taken before the sum so that none overflows."""
+def _butterfly(v: np.ndarray) -> np.ndarray:
+    """``[t + b; t - b]`` of a 2n-row array ``v = [t; b]``, ``sqrt(2) Q v``.
+    Q is its own inverse, so this takes half coordinates back to full ones,
+    and ``_butterfly(v / 2)``, halved before it adds so that no entry
+    overflows, takes full coordinates into halves."""
     n = v.shape[0] // 2
-    top, bottom = 0.5 * v[:n], 0.5 * v[n:]
-    return top + bottom, top - bottom
+    t, b = v[:n], v[n:]
+    return np.concatenate([t + b, t - b])
 
 
-def _from_halves(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``[p + q; p - q]``: the inverse of :func:`_to_halves`, ``sqrt(2) Q [p; q]``."""
-    return np.concatenate([p + q, p - q])
+def _mismatch(sys: AssociatedSystem, x_h: np.ndarray, outside=None) -> np.ndarray:
+    """``M x_h - w_h`` on each half-block M, for a solution x in half
+    coordinates and the generators ``w`` of ``sys._rhs``: ``S x - y`` in
+    half coordinates, or, given ``outside = (I - P) w / peak``
+    (:func:`_analyse`), the auxiliary system's ``S x - P y``.  The one
+    residual behind every report's and :func:`verify_solution`'s number."""
+    w, peak, _ = sys._rhs
+    g = np.concatenate([h.m @ xi for h, xi in zip(sys.halves, (x_h[:sys.n], x_h[sys.n:]))]) - w
+    return g if outside is None else g + peak * outside
 
 
-def _s_apply(sys: AssociatedSystem, x: np.ndarray) -> np.ndarray:
-    """``S x`` through the half-blocks, ``Q diag(|A|, A) Q x``: S is not formed."""
-    return _from_halves(*(h.m @ xi for h, xi in zip(sys.halves, _to_halves(x))))
-
-
-def _mismatch(sys: AssociatedSystem, x: np.ndarray, outside=None) -> np.ndarray:
-    """``S x - y`` for the generators y of ``sys``, or, given ``outside =
-    (I - P) y``, the auxiliary system's ``S x - P y``: the one residual behind
-    every report's and :func:`verify_solution`'s number."""
-    g = _s_apply(sys, x) - sys._rhs[0]
-    return g if outside is None else g + outside
-
-
-def _outside(bases, y: np.ndarray) -> np.ndarray:
-    """``(I - P) y`` for a 2n-row y, P the orthogonal projector onto the
-    column space that ``bases``, one per half-block, span with Q."""
-    return _from_halves(*(w - b @ (b.T @ w) for b, w in zip(bases, _to_halves(y))))
+def _outside(bases, sys: AssociatedSystem) -> np.ndarray:
+    """``(I - P) w / peak`` for the generators w of ``sys._rhs``, in half
+    coordinates and at unit scale, P the orthogonal projector onto the
+    column space that ``bases``, one per half-block, span: each half is
+    projected on its own basis, and no product overflows, whatever the
+    scale of y."""
+    u = sys._rhs[0] / sys._rhs[1]
+    return np.concatenate([ui - b @ (b.T @ ui) for b, ui in zip(bases, (u[:sys.n], u[sys.n:]))])
 
 
 def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -> int:
-    """Rank of a residual g of the two generators y of ``sys``, such as
-    ``(I - P) y``.
+    """Rank of a residual g, at the unit scale of ``sys._rhs``, of the two
+    generators w of ``sys`` in half coordinates, such as ``(I - P) w / peak``.
 
-    A column within ``residual_tol * ||y_i||`` of its generator ``y_i`` counts
-    as zero, both norms taken on the scale of ``sys._rhs``: each column
-    divided by the largest entry of its generator.  So every decision is
+    A column within ``residual_tol * ||w_i||`` of its generator ``w_i``
+    counts as zero, both norms taken on the scale of ``sys._rhs``: each
+    column divided by the largest entry of its generator.  Q is orthogonal,
+    so that is the rule on y in full coordinates.  So every decision is
     relative to the generator alone, whatever its scale, no norm overflows or
     underflows, and a zero generator, whose residual is zero, gets the bound
     0.  Those are dropped first: with both left, the second counts only by its
     part orthogonal to the first (``R[1, 1]`` of a QR of g), so an in-bound
     roundoff residual never hides a real one parallel to it.
     """
-    _, peak, size = sys._rhs
-    g = g / peak
-    bound = tol.residual_tol * size
+    bound = tol.residual_tol * sys._rhs[2]
     norms = np.linalg.norm(g, axis=0)
     if not np.all(norms > bound):
         return int(np.count_nonzero(norms > bound))
@@ -386,14 +397,16 @@ def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -
 def _beyond_backward_error(g: np.ndarray, x: np.ndarray, sys: AssociatedSystem,
                            tol: TolerancePolicy) -> bool:
     """Whether a column of the residual ``g = S x - y`` of a solution x for
-    the generators y of ``sys`` exceeds ``residual_tol * (||S|| ||x_i|| +
-    ||y_i||)``: whether x is not a backward-stable solution under the
-    tolerance policy.  ``||S||``, the larger ``sigma_max`` of the
-    half-blocks, is the one their staircases found
-    (:meth:`ginv.MatrixPowers.norm_bound`).  Each column is divided by the
-    power of two of the larger of the largest entry of ``y_i`` and ``||S||``
-    times that of ``x_i``, so no term overflows, whatever the scales of y, S
-    and x."""
+    the generators y of ``sys``, all three in half coordinates (g from
+    :func:`_mismatch`, x as ``x_h``, y as the w of ``sys._rhs``), exceeds
+    ``residual_tol * (||S|| ||x_i|| + ||y_i||)``: whether x is not a
+    backward-stable solution under the tolerance policy.  Q is orthogonal, so
+    every norm there is the full one over ``sqrt(2)`` and the rule is the
+    same.  ``||S||``, the larger ``sigma_max`` of the half-blocks, is the one
+    their staircases found (:meth:`ginv.MatrixPowers.norm_bound`).  Each
+    column is divided by the power of two of the larger of the largest entry
+    of ``y_i`` and ``||S||`` times that of ``x_i``, so no term overflows,
+    whatever the scales of y, S and x."""
     _, peak, size = sys._rhs
     mant, exp = math.frexp(max(h.norm_bound(tol) for h in sys.halves))
     e = np.maximum(np.frexp(peak)[1], exp + np.frexp(np.abs(x).max(axis=0))[1])
@@ -415,7 +428,9 @@ def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
 
 def _max_over_r(g: np.ndarray) -> float:
     """Max over r in [0, 1] of the infinity norm of the affine family
-    ``g[:, 0] + r * g[:, 1]``.  The norm is convex in r, so the max is at an
-    endpoint."""
+    ``g[:, 0] + r * g[:, 1]``, g given in half coordinates and taken back to
+    full ones, where the infinity norm is read.  The norm is convex in r, so
+    the max is at an endpoint."""
+    g = _butterfly(g)
     return max(float(np.linalg.norm(g[:, 0], np.inf)),
                float(np.linalg.norm(g[:, 0] + g[:, 1], np.inf)))

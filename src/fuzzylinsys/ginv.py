@@ -7,14 +7,15 @@ pure function of the inputs: the functions take plain ``numpy`` arrays and
 return new arrays.  The index search, the core-EP decomposition, both core-EP
 routes and the core inverse read the ranks of the matrix's powers, and the
 orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
-they also take in place of the matrix; the Moore-Penrose inverse of a square
-matrix reads the SVD that the :class:`MatrixPowers` keeps, which the first
-step of its staircase shares; the core-EP inverse and the core inverse
-read the one core-EP inverse that the :class:`MatrixPowers` keeps per
-tolerance policy, and each returns its own copy.  Given a bare matrix, they
-keep its :class:`MatrixPowers` until the next bare matrix arrives (one
-entry, see :func:`_as_powers`), so repeated questions about one matrix
-decide those ranks, factorize the matrix and invert it once either way.
+they also take in place of the matrix; the rank and the Moore-Penrose
+inverse of a square matrix read the SVD that the :class:`MatrixPowers`
+keeps, which the first step of its staircase shares; the core-EP inverse
+and the core inverse read the one core-EP inverse that the
+:class:`MatrixPowers` keeps per tolerance policy, and each returns its own
+copy.  Given a bare matrix, they keep its :class:`MatrixPowers` until the
+next bare matrix arrives (one entry, see :func:`_as_powers`), so repeated
+questions about one matrix decide those ranks, factorize the matrix and
+invert it once either way.
 """
 
 import math
@@ -51,11 +52,13 @@ class TolerancePolicy:
     ``rank_rel_tol`` is the relative singular-value cutoff deciding rank;
     ``None`` means the usual shape-dependent default ``max(rows, cols) * eps``.
     ``residual_tol`` bounds residuals in membership and consistency checks
-    relative to the vector y they are residuals of, ``residual_tol * ||y||``
-    with both norms taken on y scaled to unit largest entry: a purely relative
-    bound, with no absolute floor.  The residual ``S x - y`` of an exact
-    solution is bounded as a backward error, by
-    ``residual_tol * (||S|| ||x|| + ||y||)`` on the same scale.
+    relative to the vector y they are residuals of, ``residual_tol * ||y||``:
+    a purely relative bound, with no absolute floor.  :func:`in_column_space`
+    takes both norms on y scaled to unit largest entry, and the solver on
+    the generator in half coordinates, ``Q y / sqrt(2)``, scaled the same
+    way; Q is orthogonal, so the rule is the same.  The residual ``S x - y``
+    of an exact solution is bounded as a backward error, by
+    ``residual_tol * (||S|| ||x|| + ||y||)``, in half coordinates too.
     ``equality_tol`` bounds matrix-equality comparisons.
     """
 
@@ -115,13 +118,22 @@ class CoreEpDecomposition:
 
 
 def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
-    """Numerical rank: number of singular values above the relative cutoff."""
-    a = as_matrix(m)
-    s = _svd(a, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_cutoff(a.shape) * smax))
+    """Numerical rank: number of singular values above the relative cutoff.
+
+    A square ``m``, bare or a :class:`MatrixPowers`, counts those of the SVD
+    its :class:`MatrixPowers` keeps (see :func:`_as_powers`), as
+    :func:`moore_penrose` reads it; the first step of its staircase applies
+    the same rule, so the rank is ``power_ranks(m, tol)[1]``.  A non-square ``m``
+    takes its own values-only SVD.
+    """
+    if not isinstance(m, MatrixPowers):
+        m = as_matrix(m)
+    if isinstance(m, np.ndarray) and m.shape[0] != m.shape[1]:
+        s, shape = _svd(m, compute_uv=False), m.shape
+    else:
+        powers = _as_powers(m)
+        s, shape = powers._thin_svd()[1], powers.m.shape
+    return int(np.count_nonzero(s > tol.rank_cutoff(shape) * s[0]))
 
 
 def moore_penrose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -122,13 +122,15 @@ class TestSolveCommand:
         )
 
     def test_json_report_holds_no_non_finite_number(self, capsys, tmp_path):
-        # the projection of this right-hand side overflows and its residual is
-        # NaN; JSON has no NaN, so the report is a numerical failure, not written
-        big = 1.7e308
+        # this system is inconsistent and its solution representable, but the
+        # products behind its residual overflow, so the residual is infinite;
+        # JSON has no Infinity, so the report is a numerical failure, not written
+        big = 1e308
         doc = tmp_path / "p.json"
-        doc.write_text(json.dumps({"a": [[1, -1], [1, -1]],
-                                   "y": [{"lower": [big, big], "upper": [big, big]},
-                                         {"lower": [0, 0], "upper": [big, 0]}]}))
+        doc.write_text(json.dumps({"a": [[1, 1, 1], [1, 1, 0], [-1, 1, -1]],
+                                   "y": [{"lower": [0, 0], "upper": [-big, 0]},
+                                         {"lower": [big, 0], "upper": [0, 0]},
+                                         {"lower": [-big, 0], "upper": [-big, 0]}]}))
         target = tmp_path / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -496,12 +496,10 @@ class TestReportInvariants:
         assert report.classification.kind == INCONSISTENT
         assert report.is_generalized
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "_outside projects the raw y, and b.T @ w overflows before "
-        "_residual_rank rescales"))
     def test_right_hand_side_near_the_float_range(self):
-        # at y * 1e308 and below this system has rank [S | Y] = 4; at 1.7e308
-        # the projection overflows, and the report reads rank 3 and a NaN residual
+        # this system has rank [S | Y] = 4 at every scale of y; the projection
+        # of the raw y once overflowed at 1.7e308, and the report read rank 3
+        # and a NaN residual
         big = 1.7e308
         problem = FlsProblem(a=np.array([[1.0, -1.0], [1.0, -1.0]]),
                              y=[fz(big, big, big, big), fz(0, 0, big, 0)])
@@ -516,14 +514,17 @@ def _invariance_cases():
     for method in (METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I, METHOD_2II):
         for p in (300, -300, 600, -600, None):
             label = "permuted" if p is None else f"2^{p}"
-            yield pytest.param(method, p, id=f"{method}-{label}")
+            yield pytest.param(method, p, False, id=f"{method}-{label}")
+        for p in (300, -300, 600, -600):
+            yield pytest.param(method, p, True, id=f"{method}-y*2^{p}")
 
 
-@pytest.mark.parametrize("method, p", _invariance_cases())
-def test_scale_and_permutation_invariance(method, p):
-    # A * 2^p solves to x * 2^-p, and P A P^T with y permuted to P x, with the
-    # same decisions and no warning: roundoff scales exactly by a power of two
-    # and LAPACK's pivoting follows the rows
+@pytest.mark.parametrize("method, p, scale_y", _invariance_cases())
+def test_scale_and_permutation_invariance(method, p, scale_y):
+    # A * 2^p solves to x * 2^-p, y * 2^p to x * 2^p bit for bit, and P A P^T
+    # with y permuted to P x, with the same decisions and no warning: roundoff
+    # scales exactly by a power of two and LAPACK's pivoting follows the rows.
+    # Verdicts are not compared: the validity slack is absolute.
     rng = np.random.default_rng(59)
     for a, _, _ in index_matrix_suite():
         n = a.shape[0]
@@ -532,6 +533,8 @@ def test_scale_and_permutation_invariance(method, p):
         rows = np.concatenate([perm, n + perm])
         if p is None:
             moved = stacked_problem(a[np.ix_(perm, perm)], y0[rows], y1[rows])
+        elif scale_y:
+            moved = stacked_problem(a, np.ldexp(y0, p), np.ldexp(y1, p))
         else:
             moved = stacked_problem(np.ldexp(a, p), y0, y1)
         try:
@@ -546,6 +549,9 @@ def test_scale_and_permutation_invariance(method, p):
         assert (report.classification, report.method, report.is_generalized) == (
             base.classification, base.method, base.is_generalized)
         for got, x in ((report.crisp_x0, base.crisp_x0), (report.crisp_x1, base.crisp_x1)):
+            if scale_y:
+                np.testing.assert_array_equal(got, np.ldexp(x, p))
+                continue
             want = x[rows] if p is None else np.ldexp(x, -p)
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
 
@@ -623,18 +629,17 @@ def test_tiny_component_beside_a_huge_one():
     np.testing.assert_array_equal(report.crisp_x0, [1e300, 1e-100, -1e300, -1e-100])
 
 
-def test_projections_per_solve(monkeypatch):
-    # at index <= 1 col(S^k) = col(S): the membership test and the Method2-i
-    # residual reuse the projection behind the augmented rank; above, the
-    # membership test projects once more, onto col(S^k)
+def _solves_by_index(monkeypatch, helper):
+    """``(k, calls)`` for solves at index k = 0..3 on every route, with
+    ``calls`` the calls that one solve made to the fls helper named."""
     calls = []
-    outside = fls._outside
+    original = getattr(fls, helper)
 
-    def counting(bases, y):
-        calls.append(len(bases))
-        return outside(bases, y)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(fls, "_outside", counting)
+    monkeypatch.setattr(fls, helper, counting)
     rng = np.random.default_rng(92)
     routes = set()
     for k, consistent in ((0, True), (1, True), (1, False), (2, True), (2, False),
@@ -644,9 +649,25 @@ def test_projections_per_solve(monkeypatch):
             calls.clear()
             report = solve(stacked_problem(a, y0, y1))
             assert report.classification.index_s == k
-            assert len(calls) == (1 if k <= 1 else 2)
             routes.add(report.method)
+            yield k, calls
     assert routes == {METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I}
+
+
+def test_projections_per_solve(monkeypatch):
+    # at index <= 1 col(S^k) = col(S): the membership test and the Method2-i
+    # residual reuse the projection behind the augmented rank; above, the
+    # membership test projects once more, onto col(S^k)
+    for k, calls in _solves_by_index(monkeypatch, "_outside"):
+        assert len(calls) == (1 if k <= 1 else 2)
+
+
+def test_conversions_per_solve(monkeypatch):
+    # y goes into half coordinates once per system; the solution comes back
+    # once, goes into halves once for the residual, and the residual comes
+    # back once for its infinity norm, at every index
+    for _, calls in _solves_by_index(monkeypatch, "_butterfly"):
+        assert len(calls) == 4
 
 
 def stacked_problem(a, y0, y1):

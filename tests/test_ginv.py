@@ -92,6 +92,21 @@ class TestRank:
             m = rng.integers(-3, 4, (n, r)) @ rng.integers(-3, 4, (r, n))
             assert rank(m.astype(float)) == exact_rank(m.tolist())
 
+    def test_reads_the_kept_svd(self, svd_shapes):
+        m = np.array([[0.0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1]])
+        matrix_index(m)
+        moore_penrose(m)
+        svd_shapes.clear()
+        assert rank(m) == 2
+        assert svd_shapes == []
+
+    def test_is_the_first_staircase_rank(self):
+        # one rule decides rank(m) and the rank of m in the staircase
+        for a, _, _ in index_matrix_suite():
+            for scale in (1.0, 1e150, 1e-150):
+                m = scale * a
+                assert rank(m) == power_ranks(m)[1]
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(DimensionMismatchError):
             rank(np.zeros((0, 3)))

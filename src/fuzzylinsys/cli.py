@@ -187,11 +187,14 @@ def load_matrix(path: str) -> np.ndarray:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals past the interpreter's digit limit; RecursionError, nesting
+    # deeper than the parser's stack
+    except (ValueError, RecursionError) as exc:
         raise ProblemFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -235,7 +238,11 @@ def _parse_affine(obj, name: str) -> AffineFn:
 
 
 def _require_number(v, name: str):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not isfinite(v):
+    try:
+        number = not isinstance(v, bool) and isinstance(v, (int, float)) and isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        number = False
+    if not number:
         raise ProblemFormatError(f"{name} contains a non-numeric or non-finite entry: {v!r}")
 
 

@@ -7,10 +7,11 @@ pure function of the inputs: the functions take plain ``numpy`` arrays and
 return new arrays.  The index search, the core-EP decomposition, both core-EP
 routes and the core inverse read the ranks of the matrix's powers, and the
 orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
-they also take in place of the matrix; the rank and the Moore-Penrose
-inverse of a square matrix read the SVD that the :class:`MatrixPowers`
-keeps, which the first step of its staircase shares; the core-EP inverse
-and the core inverse read the one core-EP inverse that the
+they also take in place of the matrix; the rank, the Moore-Penrose inverse
+and column-space membership of a square matrix read the SVD that the
+:class:`MatrixPowers` keeps, which the first step of its staircase shares,
+and one rule decides the rank behind all three (:func:`_svd_of`); the
+core-EP inverse and the core inverse read the one core-EP inverse that the
 :class:`MatrixPowers` keeps per tolerance policy, and each returns its own
 copy.  Given a bare matrix, they keep its :class:`MatrixPowers` until the
 next bare matrix arrives (one entry, see :func:`_as_powers`), so repeated
@@ -54,11 +55,13 @@ class TolerancePolicy:
     ``residual_tol`` bounds residuals in membership and consistency checks
     relative to the vector y they are residuals of, ``residual_tol * ||y||``:
     a purely relative bound, with no absolute floor.  :func:`in_column_space`
-    takes both norms on y scaled to unit largest entry, and the solver on
-    the generator in half coordinates, ``Q y / sqrt(2)``, scaled the same
-    way; Q is orthogonal, so the rule is the same.  The residual ``S x - y``
-    of an exact solution is bounded as a backward error, by
-    ``residual_tol * (||S|| ||x|| + ||y||)``, in half coordinates too.
+    takes both norms on y scaled to unit largest entry, the residual being
+    the part of y off the left singular vectors of the matrix above the rank
+    cutoff, and the solver on the generator in half coordinates,
+    ``Q y / sqrt(2)``, scaled the same way; Q is orthogonal, so the rule is
+    the same.  The residual ``S x - y`` of an exact solution is bounded as a
+    backward error, by ``residual_tol * (||S|| ||x|| + ||y||)``, in half
+    coordinates too.
     ``equality_tol`` bounds matrix-equality comparisons.
     """
 
@@ -120,36 +123,26 @@ class CoreEpDecomposition:
 def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     """Numerical rank: number of singular values above the relative cutoff.
 
-    A square ``m``, bare or a :class:`MatrixPowers`, counts those of the SVD
-    its :class:`MatrixPowers` keeps (see :func:`_as_powers`), as
-    :func:`moore_penrose` reads it; the first step of its staircase applies
-    the same rule, so the rank is ``power_ranks(m, tol)[1]``.  A non-square ``m``
-    takes its own values-only SVD.
+    The singular values are those :func:`_svd_of` reads: for a square ``m``,
+    bare or a :class:`MatrixPowers`, the SVD its :class:`MatrixPowers` keeps
+    (see :func:`_as_powers`), as :func:`moore_penrose` and
+    :func:`in_column_space` read it; the first step of its staircase applies
+    the same rule, so the rank is ``power_ranks(m, tol)[1]``.  A non-square
+    ``m`` takes its own SVD.
     """
-    if not isinstance(m, MatrixPowers):
-        m = as_matrix(m)
-    if isinstance(m, np.ndarray) and m.shape[0] != m.shape[1]:
-        s, shape = _svd(m, compute_uv=False), m.shape
-    else:
-        powers = _as_powers(m)
-        s, shape = powers._thin_svd()[1], powers.m.shape
-    return int(np.count_nonzero(s > tol.rank_cutoff(shape) * s[0]))
+    return _svd_of(m, tol)[3]
 
 
 def moore_penrose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Moore-Penrose inverse ``V S^+ U^T`` from the thin SVD ``U S V^T``,
     dropping singular values below the rank cutoff.
 
-    A square ``m``, bare or a :class:`MatrixPowers`, reads the SVD its
-    :class:`MatrixPowers` keeps (see :func:`_as_powers`), which the first step
-    of its staircase shares; a non-square ``m`` takes its own.
+    The SVD and the rank are those of :func:`_svd_of`: a square ``m``, bare
+    or a :class:`MatrixPowers`, reads the SVD its :class:`MatrixPowers` keeps
+    (see :func:`_as_powers`), which the first step of its staircase shares; a
+    non-square ``m`` takes its own.
     """
-    if not isinstance(m, MatrixPowers):
-        m = as_matrix(m)
-        if m.shape[0] != m.shape[1]:
-            return _pseudoinverse(_svd(m, compute_uv=True), m.shape, tol)
-    powers = _as_powers(m)
-    return _pseudoinverse(powers._thin_svd(), powers.m.shape, tol)
+    return _pseudoinverse(*_svd_of(m, tol))
 
 
 def one_three_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -178,7 +171,8 @@ class MatrixPowers:
     It also keeps one thin SVD of ``m``, computed on first use whatever the
     policy: the first step of every staircase that cannot certify ``m``
     nonsingular takes its singular values and vectors from it, and
-    :func:`moore_penrose` reads it.  Per tolerance policy it keeps the
+    :func:`rank`, :func:`moore_penrose` and :func:`in_column_space` read it.
+    Per tolerance policy it keeps the
     core-EP inverse ``m^ce``, computed on first use by one
     :meth:`core_ep_apply` of the identity, which
     :func:`core_ep_via_decomposition` and :func:`core_inverse` copy.  The
@@ -289,7 +283,7 @@ class MatrixPowers:
         """``(u, s, vt)``, the thin SVD of ``m``, computed on first use and
         kept read-only: it does not depend on the tolerance policy."""
         if self._usv is None:
-            usv = tuple(_svd(self.m, compute_uv=True))
+            usv = tuple(_svd(self.m))
             for factor in usv:
                 factor.flags.writeable = False
             self._usv = usv
@@ -315,7 +309,7 @@ class MatrixPowers:
                 if _clears(core, j * cutoff * smax, self._peak if j == 1 else None):
                     r = ranks[-1]
                 else:
-                    u, s, _ = self._thin_svd() if j == 1 else _svd(core, compute_uv=True)
+                    u, s, _ = self._thin_svd() if j == 1 else _svd(core)
                     if j == 1:
                         smax = s[0]
                     r = int(np.count_nonzero(s > j * cutoff * smax))
@@ -430,10 +424,13 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     c = powers._peak
     a = powers.m / c
     ak = np.linalg.matrix_power(a, len(ranks) - 2)
-    ak = ak / np.abs(ak).max()
+    peak_k = np.abs(ak).max()
+    if peak_k == 0.0:  # a nonsingular part whose k-th power underflows
+        raise NumericalFailureError("core-EP formula: A^k underflows at unit scale")
+    ak = ak / peak_k
     inner = ak.T @ ak @ a  # (A^T)^k A^(k+1)
-    # not moore_penrose(inner): the memo of _as_powers keeps A, not inner
-    inner_pinv = _pseudoinverse(_svd(inner, compute_uv=True), inner.shape, tol)
+    # a MatrixPowers of its own: the memo of _as_powers keeps A, not inner
+    inner_pinv = _pseudoinverse(*_svd_of(MatrixPowers(inner), tol))
     with np.errstate(over="ignore"):
         x = ak @ inner_pinv @ ak.T / c
     return _finite(x, "core-EP inverse")
@@ -471,9 +468,12 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
 def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     """Whether ``y`` lies in the column space of ``m``.
 
-    Decided by the least-squares residual of ``y`` scaled to unit largest
-    entry: true iff ``min_z ||m z - y|| <= residual_tol * ||y||``, a bound
-    relative to y alone.  The zero vector is a member.
+    Decided on ``y`` scaled to unit largest entry, by its residual off the
+    left singular vectors ``U_r`` of ``m`` above the rank cutoff, the basis
+    of ``col(m)`` that :func:`rank` counts: true iff
+    ``||y - U_r U_r^T y|| <= residual_tol * ||y||``, a bound relative to y
+    alone.  The SVD is that of :func:`_svd_of`, so a square ``m`` reads the
+    one its :class:`MatrixPowers` keeps.  The zero vector is a member.
     """
     a = as_matrix(m)
     v = as_vector(y, a.shape[0])
@@ -481,11 +481,9 @@ def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     if peak == 0.0:
         return True
     v = v / peak
-    try:
-        z, *_ = np.linalg.lstsq(a, v, rcond=tol.rank_cutoff(a.shape))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"least-squares solve failed: {exc}") from exc
-    residual = float(np.linalg.norm(a @ z - v))
+    u, _, _, r = _svd_of(a, tol)
+    b = u[:, :r]
+    residual = float(np.linalg.norm(v - b @ (b.T @ v)))
     return residual <= tol.residual_tol * float(np.linalg.norm(v))
 
 
@@ -501,10 +499,11 @@ def _as_powers(m) -> MatrixPowers:
 
     So callers asking several questions of one matrix in a row (its index,
     its core-EP decomposition, both core-EP routes, its core inverse, its
-    Moore-Penrose inverse) share one staircase, one SVD and one core-EP
-    inverse, and the results are those of a fresh :class:`MatrixPowers`: the
-    entry's ``m`` is a read-only copy, its staircase and core-EP inverse are
-    cached per tolerance policy and its SVD once.  The bits are compared
+    rank, its Moore-Penrose inverse, membership in its column space) share
+    one staircase, one SVD and one core-EP inverse, and the results are
+    those of a fresh :class:`MatrixPowers`: the entry's ``m`` is a read-only
+    copy, its staircase and core-EP inverse are cached per tolerance policy
+    and its SVD once.  The bits are compared
     after :func:`as_square`, so ``-0.0`` for ``0.0`` or any change made to
     the array in place is a miss, and the same values in another memory
     layout (Fortran order, a strided or transposed view) are a hit.  There
@@ -525,32 +524,46 @@ def _as_powers(m) -> MatrixPowers:
     return powers
 
 
-def _pseudoinverse(usv, shape, tol: TolerancePolicy) -> np.ndarray:
-    """``V S^+ U^T`` from the thin SVD ``usv = (U, S, V^T)`` of a matrix of the
-    given shape, ``S^+`` inverting the singular values above the rank cutoff
-    and zeroing the rest."""
-    u, s, vt = usv
+def _svd_of(m, tol: TolerancePolicy):
+    """``(u, s, vt, r)``: the thin SVD ``u diag(s) vt`` of ``m`` and its rank
+    ``r``, the number of singular values above ``rank_cutoff * s[0]``.
+
+    A square ``m``, bare or a :class:`MatrixPowers`, reads the SVD its
+    :class:`MatrixPowers` keeps (see :func:`_as_powers`); a non-square ``m``
+    takes its own.  The rank, the Moore-Penrose inverse and column-space
+    membership all read it, so one rule decides each of them.
+    """
+    if not isinstance(m, MatrixPowers):
+        m = as_matrix(m)
+    if isinstance(m, np.ndarray) and m.shape[0] != m.shape[1]:
+        (u, s, vt), shape = _svd(m), m.shape
+    else:
+        powers = _as_powers(m)
+        (u, s, vt), shape = powers._thin_svd(), powers.m.shape
+    return u, s, vt, int(np.count_nonzero(s > tol.rank_cutoff(shape) * s[0]))
+
+
+def _pseudoinverse(u, s, vt, r: int) -> np.ndarray:
+    """``V S^+ U^T`` from the thin SVD ``(U, S, V^T)``, ``S^+`` inverting the
+    ``r`` largest singular values and zeroing the rest."""
     inv = np.zeros_like(s)
-    keep = s > tol.rank_cutoff(shape) * s[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        inv[keep] = 1.0 / s[keep]
+        inv[:r] = 1.0 / s[:r]
         x = (vt.T * inv) @ u.T
     return _finite(x, "Moore-Penrose inverse")
 
 
-def _svd(a: np.ndarray, compute_uv: bool):
-    """Thin SVD by LAPACK gesdd; where gesdd does not converge, by the slower
-    but more robust gesvd."""
+def _svd(a: np.ndarray):
+    """Thin SVD ``(u, s, vt)`` by LAPACK gesdd; where gesdd does not
+    converge, by the slower but more robust gesvd."""
     try:
-        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
     import scipy.linalg
 
     try:
-        return scipy.linalg.svd(
-            a, full_matrices=False, compute_uv=compute_uv, lapack_driver="gesvd"
-        )
+        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalFailureError(f"SVD failed: {exc}") from exc
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from matgen import graded_index_one
 
 from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, ginv, solve
@@ -18,11 +20,13 @@ from fuzzylinsys.cli import (
     EXIT_OK,
     EXIT_PARSE,
     format_affine,
+    load_matrix,
     load_problem,
     main,
     report_from_dict,
     report_to_dict,
 )
+from fuzzylinsys.errors import DimensionMismatchError, ProblemFormatError
 from fuzzylinsys.fuzzy import AffineFn
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -170,6 +174,49 @@ class TestSolveCommand:
         assert "index" in err
 
 
+# Malformed input files whose fault is not JSON syntax: an integer literal
+# past the float range, bytes that are not UTF-8, and nesting deeper than the
+# parser's stack.
+MALFORMED_FILES = {
+    "integer-beyond-float": b'{"a": [[1' + b"0" * 400 + b']], '
+                            b'"y": [{"lower": [0, 0], "upper": [0, 0]}]}',
+    "not-utf-8": b'\xff\xfe{"a": [[1]]}',
+    "nesting-too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+# Any JSON value, with the keys and shapes of the input documents likely
+# enough that the loaders' inner checks are reached, and integers well past
+# the float range among the numbers.
+_NUMBERS = (st.integers(-9, 9) | st.floats(-1e3, 1e3) | st.integers(-10**400, 10**400)
+            | st.floats())
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | _NUMBERS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["a", "y", "lower", "upper", "samples"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=12,
+)
+_PAIR = st.lists(_NUMBERS, min_size=2, max_size=2)
+_DOCUMENTS = st.fixed_dictionaries({
+    "a": st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(_NUMBERS, min_size=n, max_size=n), min_size=1, max_size=3)) | _JSON,
+    "y": st.lists(st.fixed_dictionaries({"lower": _PAIR, "upper": _PAIR}) | _JSON,
+                  min_size=1, max_size=3) | _JSON,
+}) | _JSON
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_loaders_return_or_raise_a_typed_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for load in (load_problem, load_matrix):
+        try:
+            load(str(path))
+        except (ProblemFormatError, DimensionMismatchError):
+            pass
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "no-such-file.json")
@@ -223,6 +270,15 @@ class TestInputErrors:
         bad.write_text('{"a": [[NaN]], "y": [{"lower": [0, 0], "upper": [0, 0]}]}')
         code, _, err = run_cli(capsys, "solve", str(bad))
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["solve", "inverse"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_malformed_file_is_a_parse_error(self, capsys, tmp_path, command, case):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(MALFORMED_FILES[case])
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

@@ -509,6 +509,29 @@ class TestReportInvariants:
         assert report.classification.rank_aug == 4
         assert np.isfinite(report.residual)
 
+    @pytest.mark.xfail(strict=True, reason="the residual S x - y is formed at the scale of "
+                       "y, and M @ x_h overflows near the float range")
+    def test_residual_near_the_float_range(self):
+        # the same system scaled by 1e-8 has residual 5.0e284, so this one's
+        # is representable; it reads inf, with an overflow in matmul
+        problem = FlsProblem(a=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [-1.0, 1.0, -1.0]]),
+                             y=[fz(0, 0, -1e308, 0), fz(1e308, 0, 0, 0),
+                                fz(-1e308, 0, -1e308, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(problem)
+        assert np.isfinite(report.residual)
+
+    @pytest.mark.xfail(strict=True, reason="validity verdicts use the absolute slack "
+                       "equality_tol, so they change with the scale of y")
+    def test_verdicts_do_not_depend_on_the_scale_of_y(self):
+        # clause 1 fails for y1 at c = 1, 2^40 and 2^300, and both verdicts
+        # read valid at c = 2^-40 and 2^-300
+        for p in (0, 40, 300, -40, -300):
+            c = 2.0 ** p
+            report = solve(FlsProblem(a=np.eye(2), y=[fz(0, -c, c, 0), fz(0, 0, c, 0)]))
+            assert [v.violations for v in report.verdicts] == [(1,), ()], f"c = 2^{p}"
+
 
 def _invariance_cases():
     for method in (METHOD_INVERSE, METHOD_CORE_EP, METHOD_2I, METHOD_2II):

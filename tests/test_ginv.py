@@ -442,6 +442,16 @@ class TestCoreEpRoutes:
         x = core_ep_via_formula(m)
         np.testing.assert_allclose(x @ m, np.eye(4), atol=1e-8)
 
+    def test_underflowing_power_is_a_typed_failure(self):
+        # the nonsingular part 1e-10 survives the staircase, but its 34th
+        # power underflows in the formula's A^k at unit scale
+        m = np.pad(np.diag(np.ones(33), 1), (0, 1))  # a nilpotent of index 34
+        m[-1, -1] = 1e-10
+        assert matrix_index(m) == 34
+        with pytest.raises(NumericalFailureError, match="underflows"):
+            core_ep_via_formula(m)
+        assert core_ep_via_decomposition(m)[-1, -1] == pytest.approx(1e10)
+
     def test_huge_entries_do_not_overflow(self):
         m = np.array([[1e110, 1e110], [0.0, 0.0]])
         expected = [[1e-110, 0.0], [0.0, 0.0]]
@@ -591,6 +601,33 @@ class TestInColumnSpace:
             for c in (1e-200, 1e-160, 1.0, 1e160, 1e200):
                 assert in_column_space(m, [c, c])
                 assert not in_column_space(m, [c, 2 * c])
+
+    def test_reads_the_kept_svd(self, svd_shapes, monkeypatch):
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("in_column_space called np.linalg.lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        m = np.array([[0.0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1]])
+        moore_penrose(m)
+        svd_shapes.clear()
+        assert in_column_space(m, [1.0, 1.0, 2.0, 2.0])
+        assert not in_column_space(m, [1.0, 0.0, 0.0, 0.0])
+        assert svd_shapes == []
+
+    def test_gesvd_takes_over_when_gesdd_fails(self, monkeypatch):
+        monkeypatch.setattr(ginv, "_last_powers", None)
+        rng = np.random.default_rng(24)
+        cases = [rng.standard_normal((p, 3)) @ rng.standard_normal((3, q))
+                 for p, q in ((5, 6), (6, 5), (5, 5))]
+        members = [(m, m @ rng.standard_normal(m.shape[1])) for m in cases]
+        outsiders = [(m, rng.standard_normal(m.shape[0])) for m in cases]
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert all(in_column_space(m, y) for m, y in members)
+        assert not any(in_column_space(m, y) for m, y in outsiders)
 
 
 class TestCertificate:

@@ -10,7 +10,10 @@ orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
 they also take in place of the matrix; the rank, the Moore-Penrose inverse
 and column-space membership of a square matrix read the SVD that the
 :class:`MatrixPowers` keeps, which the first step of its staircase shares,
-and one rule decides the rank behind all three (:func:`_svd_of`); the
+and one rule decides the rank behind all three (:func:`_svd_of`).  At
+index 0 the power formula is ``A^+`` and reads that SVD too; it stays
+independent of the decomposition route, which solves with the staircase's
+core and takes no SVD of it.  The
 core-EP inverse and the core inverse read the one core-EP inverse that the
 :class:`MatrixPowers` keeps per tolerance policy, and each returns its own
 copy.  Given a bare matrix, they keep its :class:`MatrixPowers` until the
@@ -171,7 +174,8 @@ class MatrixPowers:
     It also keeps one thin SVD of ``m``, computed on first use whatever the
     policy: the first step of every staircase that cannot certify ``m``
     nonsingular takes its singular values and vectors from it, and
-    :func:`rank`, :func:`moore_penrose` and :func:`in_column_space` read it.
+    :func:`rank`, :func:`moore_penrose`, :func:`in_column_space` and, at
+    index 0, :func:`core_ep_via_formula` read it.
     Per tolerance policy it keeps the
     core-EP inverse ``m^ce``, computed on first use by one
     :meth:`core_ep_apply` of the identity, which
@@ -402,9 +406,15 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     """Core-EP inverse as ``A^k [(A^T)^k A^(k+1)]^+ (A^T)^k``.
 
     All-real route, no eigenvalue reordering, independent of
-    :func:`core_ep_via_decomposition` past the rank sequence.  For index 0 it
-    reduces to the ordinary inverse, for index <= 1 to the core inverse.
-    ``m`` is a square matrix or a :class:`MatrixPowers`.
+    :func:`core_ep_via_decomposition` past the rank sequence: an SVD-based
+    pseudoinverse, where that route is a linear solve on the staircase's
+    core.  For index <= 1 it reduces to the core inverse.  At index 0,
+    ``A^k = I`` and it is ``A^+ = A^-1``, which is returned as
+    :func:`moore_penrose` gives it, from the SVD that the
+    :class:`MatrixPowers` keeps: no power, product or second SVD is formed.
+    The staircase's first step applies the rank rule of that SVD, so it
+    finds rank n there too.  ``m`` is a square matrix or a
+    :class:`MatrixPowers`.
 
     The Moore-Penrose inverse of ``(A^T)^k A^(k+1)`` squares the condition of
     the nonsingular part, so for an ill-conditioned non-normal ``A`` (say
@@ -419,6 +429,8 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     ranks = power_ranks(powers, tol)
     if ranks[-1] == 0:
         return np.zeros_like(powers.m)  # nilpotent: empty nonsingular part
+    if len(ranks) == 2:  # index 0: A^k = I and the formula is A^+
+        return moore_penrose(powers, tol)
     # The formula is unchanged by scaling A^k and scales as 1/c with A; at
     # unit scale the products stay finite.
     c = powers._peak

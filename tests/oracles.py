@@ -58,6 +58,27 @@ def exact_rank(rows) -> int:
     return pivot_row
 
 
+def exact_inverse(rows) -> list[list[Fraction]]:
+    """Inverse by Gauss-Jordan elimination on ``[A | I]`` in rational
+    arithmetic; exact for rational entries.  Raises ``ZeroDivisionError``
+    for a singular matrix."""
+    n = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pr = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pr is None:
+            raise ZeroDivisionError("singular matrix")
+        m[col], m[pr] = m[pr], m[col]
+        pivot = m[col][col]
+        m[col] = [v / pivot for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
 def int_matmul(a, b):
     n, mid, m = len(a), len(b), len(b[0])
     return [

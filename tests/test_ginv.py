@@ -13,7 +13,7 @@ from matgen import (
     index_matrix_suite,
     random_orthogonal,
 )
-from oracles import exact_rank, svd_staircase_ranks
+from oracles import exact_inverse, exact_rank, svd_staircase_ranks
 
 from fuzzylinsys import (
     DEFAULT_TOLERANCES,
@@ -442,6 +442,21 @@ class TestCoreEpRoutes:
         x = core_ep_via_formula(m)
         np.testing.assert_allclose(x @ m, np.eye(4), atol=1e-8)
 
+    def test_index_zero_matches_the_exact_inverse(self):
+        rng = np.random.default_rng(19)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(2, 6))
+            m = rng.integers(-2, 3, size=(n, n))
+            if exact_rank(m.tolist()) < n:
+                continue
+            exact = np.array(exact_inverse(m.tolist()), dtype=float)
+            a = m.astype(float)
+            assert matrix_index(a) == 0
+            x = core_ep_via_formula(a)
+            assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+            checked += 1
+
     def test_underflowing_power_is_a_typed_failure(self):
         # the nonsingular part 1e-10 survives the staircase, but its 34th
         # power underflows in the formula's A^k at unit scale
@@ -546,14 +561,18 @@ class TestOverflow:
     """An inverse beyond the floating-point range raises, without a warning."""
 
     @pytest.mark.parametrize("a", [[[1e-310, 2e-310], [1e-310, 3e-310]],
-                                   [[5e-324, 0.0], [0.0, 0.0]]], ids=["subnormal", "min"])
+                                   [[5e-324, 0.0], [0.0, 0.0]],
+                                   [[1e-310]], (1e-310 * np.eye(3)).tolist()],
+                             ids=["subnormal", "min", "1x1", "scaled-identity"])
     @pytest.mark.parametrize("inverse", [core_ep_via_decomposition, core_ep_via_formula,
                                          core_inverse, moore_penrose],
                              ids=lambda f: f.__name__)
     def test_overflowing_inverse_raises(self, inverse, a):
         for m in (np.array(a), MatrixPowers(a)):
-            with pytest.raises(NumericalFailureError, match="overflows"):
-                inverse(m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalFailureError, match="overflows"):
+                    inverse(m)
 
     def test_nan_residual_fails_core_inverse(self, monkeypatch):
         monkeypatch.setattr(MatrixPowers, "core_ep_apply",
@@ -741,6 +760,25 @@ class TestSharedSvd:
                 assert _bits(moore_penrose(MatrixPowers(m))) == \
                     _bits(_direct_moore_penrose(m))
 
+    def test_index_zero_formula_is_the_kept_moore_penrose(self, svd_shapes, monkeypatch):
+        # at index 0 the formula is A^+, read from the SVD of A that its
+        # MatrixPowers keeps: the same bits as moore_penrose, and one SVD
+        orders = ((core_ep_via_formula, moore_penrose), (moore_penrose, core_ep_via_formula))
+        for m0, k, _ in index_matrix_suite():
+            if k:
+                continue
+            for scale in (1.0, 1e-150, 1e150):
+                m = scale * m0
+                for first, second in orders:
+                    monkeypatch.setattr(ginv, "_last_powers", None)
+                    for given in (m, MatrixPowers(m)):
+                        calls = len(svd_shapes)
+                        assert matrix_index(given) == 0
+                        assert _bits(first(given)) == _bits(second(given))
+                        assert svd_shapes[calls:] == [m.shape]
+                    # the memo still holds A, not a matrix of the formula's
+                    assert ginv._last_powers.m.tobytes() == m.tobytes()
+
     def test_one_svd_per_matrix(self, staircases, svd_shapes):
         m = index_matrix(np.random.default_rng(99), 8, 2)
         assert matrix_index(m) == 2
@@ -859,14 +897,15 @@ class TestKeptInverse:
     @pytest.mark.parametrize("index", [0, 1])
     @pytest.mark.parametrize("explicit", [False, True], ids=["bare", "MatrixPowers"])
     def test_engine_call_budget(self, index, explicit, staircases, svd_shapes, solve_shapes):
-        # one solve for the inverse, one staircase, and two SVDs: that of m,
-        # which the staircase and moore_penrose share, and the formula's
+        # one solve for the inverse, one staircase, and the SVD of m, which
+        # the staircase and moore_penrose share and, at index 0, the formula
+        # reads; at index 1 the formula takes one SVD of its own
         m = index_matrix(np.random.default_rng(110 + index), 8, index)
         given = MatrixPowers(m) if explicit else m
         for f in ENGINE_SEQUENCE:
             f(given)
         assert len(solve_shapes) == 1 and staircases == [DEFAULT_TOLERANCES]
-        assert len(svd_shapes) == 2 and (8, 8) in svd_shapes
+        assert len(svd_shapes) == 1 + index and (8, 8) in svd_shapes
 
     def test_core_inverse_first(self, solve_shapes):
         m = index_matrix(np.random.default_rng(112), 8, 1)

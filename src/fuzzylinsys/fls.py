@@ -23,7 +23,10 @@ right-hand side is taken there once per system (``AssociatedSystem._rhs``),
 and every stage reads it: the projections, the solve on each half-block and
 the residual ``M x_h - w_h`` of each.  Q is orthogonal, so every 2-norm rule
 reads the same there; only the solution and the infinity norm of the
-reported residual are taken back to full coordinates.
+reported residual are taken back to full coordinates.  One routine forms
+that residual, for the report and for :func:`verify_solution`, with each
+generator's column at one power-of-two scale, so no term of it overflows,
+and applies the scale once, to the reported number.
 """
 
 import math
@@ -241,12 +244,15 @@ def solve(
     The residual is the max over r in [0, 1] of the infinity norm of
     ``S X(r) - Y(r)`` for exact solutions, or of the auxiliary-system
     mismatch ``S X(r) - P Y(r)`` for generalized ones, whatever the method,
-    as :func:`verify_solution` computes it.  Methods 2-i and 2-ii are two
-    auxiliary formulations of the one solution ``S^ce Y``, so they report
-    the same x and the same residual.  An exact solution
-    whose residual exceeds the backward-error bound of
+    as :func:`verify_solution` computes it.  It is formed at a power-of-two
+    scale and scaled back once, so it is finite wherever it is
+    representable, and ``inf`` beyond the float range.  Methods 2-i and 2-ii
+    are two auxiliary formulations of the one solution ``S^ce Y``, so they
+    report the same x and the same residual.  An exact solution whose
+    residual exceeds the backward-error bound of
     :class:`~fuzzylinsys.ginv.TolerancePolicy` raises
-    :class:`~fuzzylinsys.errors.NumericalFailureError`.
+    :class:`~fuzzylinsys.errors.NumericalFailureError`; so does one lost to
+    underflow, such as ``x = 0`` for a nonzero y, whose residual is y itself.
     """
     sys = build_associated(problem)
     cls, outside, member = _analyse(sys, tol)
@@ -267,11 +273,8 @@ def solve(
         raise NumericalFailureError("the solution overflows the floating-point range")
     x0, x1 = x.T.copy()
 
-    # the reported x, taken into halves as verify_solution takes it
-    x_h = _butterfly(0.5 * x)
-    g = _mismatch(sys, x_h, None if member else outside)
-    residual = _max_over_r(g)
-    if member and _beyond_backward_error(g, x_h, sys, tol):
+    residual, beyond = _residual(sys, x, None if member else outside, tol)
+    if beyond:
         raise NumericalFailureError(
             f"exact route left residual {residual:.3e}; membership test and "
             "solution disagree under the tolerance policy"
@@ -301,12 +304,14 @@ def verify_solution(
     Exact solutions are checked against the original right-hand side;
     generalized ones against the right-hand side ``P Y(r)`` of the auxiliary
     consistent system, P the orthogonal projector onto the column space of
-    ``S**k`` that :func:`solve` uses (equal to ``S^k (S^k)^(1,3)``).  So it
-    returns the report's own residual, bit for bit, for every method.
+    ``S**k`` that :func:`solve` uses (equal to ``S^k (S^k)^(1,3)``).  It
+    calls the one routine that formed the report's residual, on the same x,
+    so it returns that residual bit for bit, for every method and at every
+    scale.
     """
     x = np.column_stack([report.crisp_x0, report.crisp_x1])
     outside = _analyse(sys, tol).outside if report.is_generalized else None
-    return _max_over_r(_mismatch(sys, _butterfly(0.5 * x), outside))
+    return _residual(sys, x, outside, tol)[0]
 
 
 class _Analysis(NamedTuple):
@@ -351,17 +356,6 @@ def _butterfly(v: np.ndarray) -> np.ndarray:
     return np.concatenate([t + b, t - b])
 
 
-def _mismatch(sys: AssociatedSystem, x_h: np.ndarray, outside=None) -> np.ndarray:
-    """``M x_h - w_h`` on each half-block M, for a solution x in half
-    coordinates and the generators ``w`` of ``sys._rhs``: ``S x - y`` in
-    half coordinates, or, given ``outside = (I - P) w / peak``
-    (:func:`_analyse`), the auxiliary system's ``S x - P y``.  The one
-    residual behind every report's and :func:`verify_solution`'s number."""
-    w, peak, _ = sys._rhs
-    g = np.concatenate([h.m @ xi for h, xi in zip(sys.halves, (x_h[:sys.n], x_h[sys.n:]))]) - w
-    return g if outside is None else g + peak * outside
-
-
 def _outside(bases, sys: AssociatedSystem) -> np.ndarray:
     """``(I - P) w / peak`` for the generators w of ``sys._rhs``, in half
     coordinates and at unit scale, P the orthogonal projector onto the
@@ -394,25 +388,48 @@ def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -
     return 1 + int(np.linalg.norm(g[:, 1] - u * (u @ g[:, 1])) > bound[1])
 
 
-def _beyond_backward_error(g: np.ndarray, x: np.ndarray, sys: AssociatedSystem,
-                           tol: TolerancePolicy) -> bool:
-    """Whether a column of the residual ``g = S x - y`` of a solution x for
-    the generators y of ``sys``, all three in half coordinates (g from
-    :func:`_mismatch`, x as ``x_h``, y as the w of ``sys._rhs``), exceeds
-    ``residual_tol * (||S|| ||x_i|| + ||y_i||)``: whether x is not a
-    backward-stable solution under the tolerance policy.  Q is orthogonal, so
-    every norm there is the full one over ``sqrt(2)`` and the rule is the
-    same.  ``||S||``, the larger ``sigma_max`` of the half-blocks, is the one
-    their staircases found (:meth:`ginv.MatrixPowers.norm_bound`).  Each
-    column is divided by the power of two of the larger of the largest entry
-    of ``y_i`` and ``||S||`` times that of ``x_i``, so no term overflows,
-    whatever the scales of y, S and x."""
-    _, peak, size = sys._rhs
+def _residual(sys: AssociatedSystem, x: np.ndarray, outside, tol: TolerancePolicy):
+    """``(residual, beyond)`` of a solution x, its columns ``[x0 x1]`` in
+    full coordinates.  ``residual`` is the max over r in [0, 1] of the
+    infinity norm of ``S X(r) - Y(r)``, or, given ``outside = (I - P) w /
+    peak`` (:func:`_analyse`), of the auxiliary system's ``S X(r) - P Y(r)``:
+    the one residual behind every report's and :func:`verify_solution`'s
+    number.  For an exact solution (no ``outside``), ``beyond`` tells whether
+    a column of that residual exceeds ``residual_tol * (||S|| ||x_i|| +
+    ||y_i||)``, i.e. whether x is not a backward-stable solution under the
+    tolerance policy; for a generalized one it is False.
+
+    The residual is ``M x_h - w_h`` on each half-block M, x taken into half
+    coordinates and w that of ``sys._rhs``; Q is orthogonal, so every 2-norm
+    there is the full one over ``sqrt(2)`` and the rule is the same.
+    ``||S||``, the larger ``sigma_max`` of the half-blocks, is the one their
+    staircases found (:meth:`ginv.MatrixPowers.norm_bound`).  Column i is
+    formed at the scale ``2**-e_i``, ``e_i`` the exponent of the larger of
+    its generator's peak and ``||S|| max|x_i|``; a zero column of x adds
+    nothing, so an x lost to underflow is judged against y itself.  M is
+    brought to unit scale by the exponent of ``||S||`` and x by the rest, and
+    each term is scaled before it is combined with the others, so none
+    overflows, whatever the scales of y, S and x.  The backward-error test
+    reads those columns; the exponent is applied once, to the max-over-r
+    norm, which reads inf if it lies beyond the float range.  Scaling by a
+    power of two is exact, so a residual in the normal range has the bits of
+    the unscaled one."""
+    w, peak, size = sys._rhs
     mant, exp = math.frexp(max(h.norm_bound(tol) for h in sys.halves))
-    e = np.maximum(np.frexp(peak)[1], exp + np.frexp(np.abs(x).max(axis=0))[1])
-    sx = mant * np.linalg.norm(np.ldexp(x, exp - e), axis=0)
-    bound = tol.residual_tol * (sx + size * np.ldexp(peak, -e))
-    return bool(np.any(np.linalg.norm(np.ldexp(g, -e), axis=0) > bound))
+    e = np.array([max(math.frexp(p)[1], exp + math.frexp(v)[1] if v else -math.inf)
+                  for p, v in zip(peak.tolist(), np.abs(x).max(axis=0).tolist())])
+    x_h, unit = np.ldexp(_butterfly(0.5 * x), exp - e), np.ldexp(peak, -e)
+    g = np.concatenate([np.ldexp(h.m, -exp) @ xi for h, xi in
+                        zip(sys.halves, (x_h[:sys.n], x_h[sys.n:]))]) - np.ldexp(w, -e)
+    if outside is None:  # 2-norms with the bits of np.linalg.norm's, without its overhead
+        bound = tol.residual_tol * (mant * np.sqrt((x_h * x_h).sum(axis=0)) + size * unit)
+        beyond = bool(np.any(np.sqrt((g * g).sum(axis=0)) > bound))
+    else:
+        g, beyond = g + unit * outside, False
+    g = _butterfly(np.ldexp(g, e - e.max()))  # the norm is convex in r: its max is at 0 or 1
+    with np.errstate(over="ignore"):
+        top = max(np.abs(g[:, 0]).max(), np.abs(g[:, 0] + g[:, 1]).max())
+        return float(np.ldexp(top, e.max())), beyond
 
 
 def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
@@ -425,12 +442,3 @@ def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
         for i in range(n)
     ]
 
-
-def _max_over_r(g: np.ndarray) -> float:
-    """Max over r in [0, 1] of the infinity norm of the affine family
-    ``g[:, 0] + r * g[:, 1]``, g given in half coordinates and taken back to
-    full ones, where the infinity norm is read.  The norm is convex in r, so
-    the max is at an endpoint."""
-    g = _butterfly(g)
-    return max(float(np.linalg.norm(g[:, 0], np.inf)),
-               float(np.linalg.norm(g[:, 0] + g[:, 1], np.inf)))

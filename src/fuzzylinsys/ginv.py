@@ -64,7 +64,9 @@ class TolerancePolicy:
     ``Q y / sqrt(2)``, scaled the same way; Q is orthogonal, so the rule is
     the same.  The residual ``S x - y`` of an exact solution is bounded as a
     backward error, by ``residual_tol * (||S|| ||x|| + ||y||)``, in half
-    coordinates too.
+    coordinates too, each column taken at the power of two of the larger of
+    ``||S|| max|x_i|`` and the largest entry of ``y_i``; a zero ``x_i``
+    counts for nothing there, so an x lost to underflow fails the bound.
     ``equality_tol`` bounds matrix-equality comparisons.
     """
 

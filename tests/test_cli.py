@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from matgen import graded_index_one
 
-from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, ginv, solve
+from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, fls, ginv, solve
 from fuzzylinsys.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DIMENSION,
@@ -114,6 +115,12 @@ class TestSolveCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["tolerances"]["residual_tol"] == 1e-6
+        code, out, _ = run_cli(
+            capsys, "solve", str(FIXTURES / "consistent_2x2.json"),
+            "--format", "json", "--eq-tol", "1e-7",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["tolerances"]["equality_tol"] == 1e-7
 
     def test_huge_entries_inconsistent(self, capsys, tmp_path):
         doc = tmp_path / "p.json"
@@ -125,23 +132,21 @@ class TestSolveCommand:
             "classification : Inconsistent  (rank S = 2, rank [S|Y] = 3, index = 1)"
         )
 
-    def test_json_report_holds_no_non_finite_number(self, capsys, tmp_path):
-        # this system is inconsistent and its solution representable, but the
-        # products behind its residual overflow, so the residual is infinite;
-        # JSON has no Infinity, so the report is a numerical failure, not written
+    def test_json_report_holds_no_non_finite_number(self, capsys, tmp_path, monkeypatch):
+        # this system is inconsistent and its solution representable; the
+        # products behind its residual overflow unless they are formed at a
+        # power-of-two scale, and its residual is finite
         big = 1e308
         doc = tmp_path / "p.json"
         doc.write_text(json.dumps({"a": [[1, 1, 1], [1, 1, 0], [-1, 1, -1]],
                                    "y": [{"lower": [0, 0], "upper": [-big, 0]},
                                          {"lower": [big, 0], "upper": [0, 0]},
                                          {"lower": [-big, 0], "upper": [-big, 0]}]}))
-        target = tmp_path / "report.json"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_cli(capsys, "solve", str(doc), "--format", "json",
-                                     "--output", str(target))
-        assert code == EXIT_NUMERICAL and out == "" and not target.exists()
-        assert err.startswith("error: the report is not valid JSON") and err.count("\n") == 1
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "solve", str(doc), "--format", "json")
+        assert code == EXIT_OK and err == ""
+        assert math.isfinite(json.loads(out)["residual"])
 
         # this index-2 system's Method 2-ii residual once overflowed; it is the
         # Method 2-i residual, finite and with no warning
@@ -159,12 +164,39 @@ class TestSolveCommand:
             residuals.append(json.loads(out)["residual"])
         assert math.isfinite(residuals[0]) and residuals[0] == residuals[1]
 
+        # JSON has no Infinity, so a report with an infinite residual is a
+        # numerical failure, not written
+        solve_ = fls.solve
+        monkeypatch.setattr(fls, "solve", lambda *args, **kwargs: dataclasses.replace(
+            solve_(*args, **kwargs), residual=math.inf))
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "solve", str(doc), "--format", "json",
+                                 "--output", str(target))
+        assert code == EXIT_NUMERICAL and out == "" and not target.exists()
+        assert err.startswith("error: the report is not valid JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pa, py", [(600, -600), (1000, -600), (1000, -1000), (60, -1060)])
+    def test_solution_lost_to_underflow(self, capsys, tmp_path, pa, py):
+        # x = y / A underflows to 0, which is no solution of S x = y
+        y = math.ldexp(1.0, py)
+        doc = tmp_path / "p.json"
+        doc.write_text(json.dumps({"a": [[-math.ldexp(1.0, pa)]],
+                                   "y": [{"lower": [y, 0], "upper": [3 * y, 0]}]}))
+        code, out, err = run_cli(capsys, "solve", str(doc))
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err.startswith("error: exact route") and err.count("\n") == 1
+
     def test_bad_tolerance_flag(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", str(FIXTURES / "consistent_2x2.json"), "--rank-tol", "2.0"
         )
         assert code == EXIT_PARSE
         assert "rank_rel_tol" in err
+        code, out, err = run_cli(
+            capsys, "solve", str(FIXTURES / "consistent_2x2.json"), "--eq-tol", "2"
+        )
+        assert code == EXIT_PARSE and out == ""
+        assert "equality_tol" in err
 
     def test_forced_inverse_on_singular_system(self, capsys):
         code, _, err = run_cli(
@@ -175,11 +207,12 @@ class TestSolveCommand:
 
 
 # Malformed input files whose fault is not JSON syntax: an integer literal
-# past the float range, bytes that are not UTF-8, and nesting deeper than the
-# parser's stack.
+# past the float range, bytes that are not UTF-8, nesting deeper than the
+# parser's stack, and a matrix of empty rows.
 MALFORMED_FILES = {
     "integer-beyond-float": b'{"a": [[1' + b"0" * 400 + b']], '
                             b'"y": [{"lower": [0, 0], "upper": [0, 0]}]}',
+    "empty-rows": b'{"a": [[]], "y": [{"lower": [0, 0], "upper": [0, 0]}]}',
     "not-utf-8": b'\xff\xfe{"a": [[1]]}',
     "nesting-too-deep": b"[" * 100_000 + b"]" * 100_000,
 }
@@ -279,6 +312,17 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, command, str(bad))
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("record, message", [
+        ({"lower": [0, 0], "upper": [0, 0], "mode": [0, 0]}, "exactly the fields"),
+        ({"lower": [0, 0, 0], "upper": [0, 0]}, "two-element list"),
+    ], ids=["extra-field", "three-element-endpoint"])
+    def test_malformed_record_is_a_parse_error(self, capsys, tmp_path, record, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"a": [[1]], "y": [record]}))
+        code, out, err = run_cli(capsys, "solve", str(bad))
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: y[0]") and message in err and err.count("\n") == 1
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

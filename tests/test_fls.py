@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -509,17 +510,17 @@ class TestReportInvariants:
         assert report.classification.rank_aug == 4
         assert np.isfinite(report.residual)
 
-    @pytest.mark.xfail(strict=True, reason="the residual S x - y is formed at the scale of "
-                       "y, and M @ x_h overflows near the float range")
     def test_residual_near_the_float_range(self):
         # the same system scaled by 1e-8 has residual 5.0e284, so this one's
-        # is representable; it reads inf, with an overflow in matmul
+        # is representable; formed at the scale of y, M @ x_h once overflowed
+        # and the residual read inf
         problem = FlsProblem(a=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [-1.0, 1.0, -1.0]]),
                              y=[fz(0, 0, -1e308, 0), fz(1e308, 0, 0, 0),
                                 fz(-1e308, 0, -1e308, 0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = solve(problem)
+            assert verify_solution(build_associated(problem), report) == report.residual
         assert np.isfinite(report.residual)
 
     @pytest.mark.xfail(strict=True, reason="validity verdicts use the absolute slack "
@@ -544,9 +545,10 @@ def _invariance_cases():
 
 @pytest.mark.parametrize("method, p, scale_y", _invariance_cases())
 def test_scale_and_permutation_invariance(method, p, scale_y):
-    # A * 2^p solves to x * 2^-p, y * 2^p to x * 2^p bit for bit, and P A P^T
-    # with y permuted to P x, with the same decisions and no warning: roundoff
-    # scales exactly by a power of two and LAPACK's pivoting follows the rows.
+    # A * 2^p solves to x * 2^-p, y * 2^p to x * 2^p bit for bit (and its
+    # residual to the residual times 2^p), and P A P^T with y permuted to P x,
+    # with the same decisions and no warning: roundoff scales exactly by a
+    # power of two and LAPACK's pivoting follows the rows.
     # Verdicts are not compared: the validity slack is absolute.
     rng = np.random.default_rng(59)
     for a, _, _ in index_matrix_suite():
@@ -571,6 +573,8 @@ def test_scale_and_permutation_invariance(method, p, scale_y):
             report = solve(moved, method=method)
         assert (report.classification, report.method, report.is_generalized) == (
             base.classification, base.method, base.is_generalized)
+        if scale_y:
+            assert report.residual == math.ldexp(base.residual, p)
         for got, x in ((report.crisp_x0, base.crisp_x0), (report.crisp_x1, base.crisp_x1)):
             if scale_y:
                 np.testing.assert_array_equal(got, np.ldexp(x, p))
@@ -620,13 +624,29 @@ class TestExactRouteCheck:
             with pytest.raises(NumericalFailureError, match="exact route"):
                 solve(problem)
 
+    @pytest.mark.parametrize("pa, py", [(600, -600), (1000, -600), (1000, -1000), (60, -1060)])
+    def test_solution_lost_to_underflow_raises(self, pa, py):
+        # x = y / A lies below the float range and comes out 0, so S x - y is
+        # y itself, far beyond any backward error; a zero column of x once
+        # counted as size 1 in the check's scale, which flushed y to zero
+        # there, and the report read ConsistentUnique with x = 0
+        y = math.ldexp(1.0, py)
+        problem = FlsProblem(a=np.array([[-math.ldexp(1.0, pa)]]), y=[fz(y, 0, 3 * y, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="exact route"):
+                solve(problem)
 
-@pytest.mark.parametrize("a, lower, upper", [
-    ([[1e-310, 2e-310], [1e-310, 3e-310]], (1.0, 1.0), (3.0, -1.0)),  # x about 1e310
-], ids=["inverse"])
-def test_overflowing_solution_raises(a, lower, upper):
+
+@pytest.mark.parametrize("a, lower, upper, message", [
+    ([[1e-310, 2e-310], [1e-310, 3e-310]], (1.0, 1.0), (3.0, -1.0),
+     "core-EP inverse overflows"),  # x about 1e310
+    ([[0.75]], (1.5e308, 0.0), (0.0, 0.0),
+     "the solution overflows"),  # each half's solve finite, their sum 2e308
+], ids=["inverse", "sum-of-halves"])
+def test_overflowing_solution_raises(a, lower, upper, message):
     problem = FlsProblem(a=np.array(a), y=[fz(*lower, *upper)] * len(a))
-    with pytest.raises(NumericalFailureError, match="overflows"):
+    with pytest.raises(NumericalFailureError, match=message):
         solve(problem)
 
 

@@ -403,29 +403,33 @@ def _residual(sys: AssociatedSystem, x: np.ndarray, outside, tol: TolerancePolic
     coordinates and w that of ``sys._rhs``; Q is orthogonal, so every 2-norm
     there is the full one over ``sqrt(2)`` and the rule is the same.
     ``||S||``, the larger ``sigma_max`` of the half-blocks, is the one their
-    staircases found (:meth:`ginv.MatrixPowers.norm_bound`).  Column i is
-    formed at the scale ``2**-e_i``, ``e_i`` the exponent of the larger of
-    its generator's peak and ``||S|| max|x_i|``; a zero column of x adds
-    nothing, so an x lost to underflow is judged against y itself.  M is
-    brought to unit scale by the exponent of ``||S||`` and x by the rest, and
-    each term is scaled before it is combined with the others, so none
-    overflows, whatever the scales of y, S and x.  The backward-error test
+    staircases found (:meth:`ginv.MatrixPowers.norm_bound`), kept as that
+    unit-scale number and the exponent of the half-blocks' unit copies,
+    because it can exceed the float maximum.  Column i is formed at the
+    scale ``2**-e_i``, ``e_i`` the exponent of the larger of its generator's
+    peak and ``||S|| max|x_i|``; a zero column of x adds nothing, so an x
+    lost to underflow is judged against y itself.  M is read as its unit
+    copy (:attr:`ginv.MatrixPowers.unit`), x is brought to the rest of that
+    scale, and each term is scaled before it is combined with the others, so
+    none overflows, whatever the scales of y, S and x.  The backward-error test
     reads those columns; the exponent is applied once, to the max-over-r
     norm, which reads inf if it lies beyond the float range.  Scaling by a
     power of two is exact, so a residual in the normal range has the bits of
     the unscaled one."""
     w, peak, size = sys._rhs
-    mant, exp = math.frexp(max(h.norm_bound(tol) for h in sys.halves))
+    # |A| and A have the same largest entry, so their unit copies share one exponent
+    norm, scale = max(h.norm_bound(tol) for h in sys.halves), sys.halves[0].exponent
+    exp = math.frexp(norm)[1] + scale  # ||S|| = norm * 2**scale can exceed the float range
     e = np.array([max(math.frexp(p)[1], exp + math.frexp(v)[1] if v else -math.inf)
                   for p, v in zip(peak.tolist(), np.abs(x).max(axis=0).tolist())])
-    x_h, unit = np.ldexp(_butterfly(0.5 * x), exp - e), np.ldexp(peak, -e)
-    g = np.concatenate([np.ldexp(h.m, -exp) @ xi for h, xi in
+    x_h, w_peak = np.ldexp(_butterfly(0.5 * x), scale - e), np.ldexp(peak, -e)
+    g = np.concatenate([h.unit @ xi for h, xi in
                         zip(sys.halves, (x_h[:sys.n], x_h[sys.n:]))]) - np.ldexp(w, -e)
     if outside is None:  # 2-norms with the bits of np.linalg.norm's, without its overhead
-        bound = tol.residual_tol * (mant * np.sqrt((x_h * x_h).sum(axis=0)) + size * unit)
+        bound = tol.residual_tol * (norm * np.sqrt((x_h * x_h).sum(axis=0)) + size * w_peak)
         beyond = bool(np.any(np.sqrt((g * g).sum(axis=0)) > bound))
     else:
-        g, beyond = g + unit * outside, False
+        g, beyond = g + w_peak * outside, False
     g = _butterfly(np.ldexp(g, e - e.max()))  # the norm is convex in r: its max is at 0 or 1
     with np.errstate(over="ignore"):
         top = max(np.abs(g[:, 0]).max(), np.abs(g[:, 0] + g[:, 1]).max())
@@ -433,11 +437,12 @@ def _residual(sys: AssociatedSystem, x: np.ndarray, outside, tol: TolerancePolic
 
 
 def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
-    # Rows n..2n of the crisp solution carry the negated upper endpoints.
+    # Rows n..2n of the crisp solution carry the negated upper endpoints;
+    # 0.0 - x negates all but a zero, which stays +0.
     return [
         FuzzyNumber(
             lower=AffineFn(float(x0[i]), float(x1[i])),
-            upper=AffineFn(float(-x0[n + i]), float(-x1[n + i])),
+            upper=AffineFn(float(0.0 - x0[n + i]), float(0.0 - x1[n + i])),
         )
         for i in range(n)
     ]

@@ -10,7 +10,10 @@ orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
 they also take in place of the matrix; the rank, the Moore-Penrose inverse
 and column-space membership of a square matrix read the SVD that the
 :class:`MatrixPowers` keeps, which the first step of its staircase shares,
-and one rule decides the rank behind all three (:func:`_svd_of`).  At
+and one rule decides the rank behind all three (:func:`_svd_of`).  Every
+rank and factorization of a matrix is taken on one copy of it scaled by a
+power of two to unit largest entry (:func:`_unit_scale`), so they do not
+depend on its scale, up to the float maximum.  At
 index 0 the power formula is ``A^+`` and reads that SVD too; it stays
 independent of the decomposition route, which solves with the staircase's
 core and takes no SVD of it.  The
@@ -140,7 +143,8 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
 
 def moore_penrose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Moore-Penrose inverse ``V S^+ U^T`` from the thin SVD ``U S V^T``,
-    dropping singular values below the rank cutoff.
+    dropping singular values below the rank cutoff; the SVD is that of the
+    unit-scale copy ``2**-e m``, and the inverse is scaled back by ``2**-e``.
 
     The SVD and the rank are those of :func:`_svd_of`: a square ``m``, bare
     or a :class:`MatrixPowers`, reads the SVD its :class:`MatrixPowers` keeps
@@ -181,22 +185,32 @@ class MatrixPowers:
     Per tolerance policy it keeps the
     core-EP inverse ``m^ce``, computed on first use by one
     :meth:`core_ep_apply` of the identity, which
-    :func:`core_ep_via_decomposition` and :func:`core_inverse` copy.  The
-    largest entry of ``m`` and ``||m||_F`` are taken once, here, for the
-    staircase, its certificate, the solve and the checks.
+    :func:`core_ep_via_decomposition` and :func:`core_inverse` copy.
 
-    ``m`` is copied and the cached arrays are read-only, so callers that
-    share a ``MatrixPowers`` cannot corrupt it: those that pass one
+    All of that is computed on one copy of ``m`` made here, ``unit = 2**-e
+    m`` with ``e = exponent`` the exponent of the largest entry of ``m``
+    (0 for a zero ``m``), whose largest entry lies in [1/2, 1): its
+    Frobenius norm, every step of the staircase (cores, certificate floors,
+    the kept SVD) and the core-EP solve read it, so no norm or singular
+    value of a finite ``m`` overflows and no rank depends on the scale of
+    ``m``.  The results that carry the scale are scaled back once: the
+    Moore-Penrose and core-EP inverses by ``2**-e``, the ``t`` block of
+    :func:`core_ep_decompose` by ``2**e``.  Scaling by a power of two is
+    exact, so where no entry is subnormal and LAPACK does not rescale its
+    input itself, each result has the bits of the same arithmetic on ``m``.
+
+    ``m`` is copied, and it, ``unit`` and the cached arrays are read-only, so
+    callers that share a ``MatrixPowers`` cannot corrupt it: those that pass one
     explicitly, and those that pass the same bare matrix in a row, which the
     engine's functions map to one ``MatrixPowers`` (:func:`_as_powers`).
     """
 
     def __init__(self, m):
         self.m = as_square(m).copy()
-        self.m.flags.writeable = False
+        self.unit, self.exponent = _unit_scale(self.m)
+        self.m.flags.writeable = self.unit.flags.writeable = False
         self.n = self.m.shape[0]
-        self._peak = float(np.abs(self.m).max())
-        self._norm = _frobenius(self.m, self._peak)
+        self._norm = float(np.linalg.norm(self.unit))
         self._ranges = {}
         self._usv = None
         self._inverses = {}
@@ -241,6 +255,11 @@ class MatrixPowers:
         terminates with j <= n + 1 in exact arithmetic; if the rank sequence
         has not stabilized by then the tolerance policy is inconsistent with
         the matrix and a numerical failure is raised.
+
+        Every step runs on ``unit``, the copy of m scaled by a power of two,
+        which moves no singular value relative to the floor: the ranks and
+        bases are those of m, and the kept cores are those of m times
+        ``2**-exponent``.
         """
         return self._steps(tol)[:2]
 
@@ -250,29 +269,27 @@ class MatrixPowers:
         the core ``B^T m B`` that :meth:`ranges` kept; at index 0, B = I and
         this is ``solve(m, w)``.
 
-        The system is solved with both sides scaled by the power of two that
-        brings the largest entry of the matrix into [1/2, 1): the same x, so
-        normal-range results are unchanged bit for bit, but LAPACK never takes
-        the reciprocal of a subnormal pivot."""
+        The kept core is that of ``unit``, ``2**-exponent`` times that of m,
+        and is solved as it is, with w scaled by the same power of two: the
+        same x, so normal-range results have the bits of the solve on m.  The
+        core's smallest singular value cleared the staircase's floor, so
+        LAPACK never takes the reciprocal of a subnormal pivot."""
         _, bases, core, _, _ = self._steps(tol)
         b = bases[-2]
         full = b.shape[1] == self.n
-        m = self.m if full else core
-        peak = self._peak if full else (np.abs(m).max() if m.size else 0.0)
-        e = math.frexp(peak)[1]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x = np.linalg.solve(np.ldexp(m, -e), np.ldexp(w if full else b.T @ w, -e))
-                if not full:
-                    x = b @ x
+                w = np.ldexp(w, -self.exponent)
+                x = np.linalg.solve(core, w) if full else b @ np.linalg.solve(core, b.T @ w)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
         return _finite(x, "core-EP inverse")
 
     def norm_bound(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> float:
-        """``sigma_max(m)`` as :meth:`ranges` found it: from its first SVD, or
-        the upper bound ``||m||_F`` where the certificate made that SVD
-        unnecessary."""
+        """``sigma_max(unit)`` as :meth:`ranges` found it: from its first SVD,
+        or the upper bound ``||unit||_F`` where the certificate made that SVD
+        unnecessary.  It lies in [1/2, n] and ``sigma_max(m)`` is it times
+        ``2**exponent``, which can exceed the float maximum."""
         return self._steps(tol)[4]
 
     def _inverse(self, tol: TolerancePolicy) -> np.ndarray:
@@ -286,10 +303,10 @@ class MatrixPowers:
         return x
 
     def _thin_svd(self):
-        """``(u, s, vt)``, the thin SVD of ``m``, computed on first use and
-        kept read-only: it does not depend on the tolerance policy."""
+        """``(u, s, vt)``, the thin SVD of ``unit``, computed on first use
+        and kept read-only: it does not depend on the tolerance policy."""
         if self._usv is None:
-            usv = tuple(_svd(self.m))
+            usv = tuple(_svd(self.unit))
             for factor in usv:
                 factor.flags.writeable = False
             self._usv = usv
@@ -305,14 +322,14 @@ class MatrixPowers:
         eye = np.eye(self.n)
         eye.flags.writeable = False
         ranks, bases, drops = [self.n], [eye], []
-        smax = self._norm  # >= sigma_max(m); step 1's SVD replaces it
+        smax = self._norm  # >= sigma_max(unit); step 1's SVD replaces it
         for j in range(1, self.n + 2):
             # a power after a zero power is zero
             r, b, core = 0, bases[-1], np.zeros((0, 0))
             if ranks[-1]:
                 # col(m B) lies in col(B) for j >= 2, so m B = B core
-                core = self.m if j == 1 else b.T @ (self.m @ b)
-                if _clears(core, j * cutoff * smax, self._peak if j == 1 else None):
+                core = self.unit if j == 1 else b.T @ (self.unit @ b)
+                if _clears(core, j * cutoff * smax):
                     r = ranks[-1]
                 else:
                     u, s, _ = self._thin_svd() if j == 1 else _svd(core)
@@ -365,26 +382,28 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     the staircase kept (the matrix :meth:`MatrixPowers.core_ep_apply`
     inverts), the lower-left block vanishes and ``n_block = W^T m W`` is
     strictly upper triangular, with zero diagonal blocks of the sizes of the
-    rank drops.  Each column of W is signed so that its largest-magnitude
+    rank drops.  The kept core is that of the unit-scale copy of ``m`` and
+    is scaled back once for ``t``; a ``t`` beyond the float range fails the
+    check below.  Each column of W is signed so that its largest-magnitude
     entry (the first, on ties) is positive, so the factors do not depend on
     the signs LAPACK gives singular vectors.  ``m`` is a square matrix or a
     :class:`MatrixPowers`, whose cached staircase is then reused.
 
     ``t`` is nonsingular because the staircase's last step found it so.  The
     factors are checked to reconstruct ``m`` within ``equality_tol *
-    ||m||_F``, a backward error on the scale of ``m``.
+    ||m||_F``, a backward error on the scale of ``m`` (see
+    :func:`_check_decomposition`).
     """
     powers = _as_powers(m)
-    a = powers.m
     ranks, bases, core, drops, _ = powers._steps(tol)
     u = np.hstack([bases[-2]] + [prev @ dropped for prev, dropped in reversed(drops)])
     b, w = u[:, : ranks[-1]], u[:, ranks[-1] :]
     peaks = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
     w *= np.where(peaks < 0.0, -1.0, 1.0)
-    aw = a @ w
-    dec = CoreEpDecomposition(
-        u=u, t=core.copy(), s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2
-    )
+    aw = powers.m @ w
+    with np.errstate(over="ignore"):  # a t beyond the float range fails the check
+        t = np.ldexp(core, powers.exponent)
+    dec = CoreEpDecomposition(u=u, t=t, s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2)
     _check_decomposition(powers, dec, tol)
     return dec
 
@@ -434,8 +453,9 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     if len(ranks) == 2:  # index 0: A^k = I and the formula is A^+
         return moore_penrose(powers, tol)
     # The formula is unchanged by scaling A^k and scales as 1/c with A; at
-    # unit scale the products stay finite.
-    c = powers._peak
+    # unit scale the products stay finite.  It divides by the peak itself,
+    # not by the power of two of ``unit``: the reference keeps its own arithmetic.
+    c = np.abs(powers.m).max()
     a = powers.m / c
     ak = np.linalg.matrix_power(a, len(ranks) - 2)
     peak_k = np.abs(ak).max()
@@ -460,19 +480,22 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     backward error:
     ``||A X A - A||_F <= equality_tol * ||A||_F * (||A||_F ||X||_F)``.  A
     backward-stable X passes however ill-conditioned the core, a wrong one
-    does not, and scaling A moves neither side.
+    does not, and scaling A moves neither side; so both are taken at unit
+    scale, on the :class:`MatrixPowers`'s ``unit`` and its core-EP inverse
+    ``2**exponent X``, and no norm overflows.
     """
     powers = _as_powers(m)
     k = matrix_index(powers, tol)
     if k > 1:
         raise IndexTooLargeError(f"core inverse requires matrix index <= 1, got {k}")
-    a = powers.m
+    a = powers.unit
     x = powers._inverse(tol).copy()
-    residual = _frobenius(a @ x @ a - a)
+    x_unit = np.ldexp(x, powers.exponent)  # the core-EP inverse of a
+    residual = np.linalg.norm(a @ x_unit @ a - a)
     norm = powers._norm
     # ||a|| ||x|| >= 1 is a condition number, free of the scale of a; a NaN
     # residual fails
-    if not residual <= tol.equality_tol * norm * (norm * _frobenius(x)):
+    if not residual <= tol.equality_tol * norm * (norm * np.linalg.norm(x_unit)):
         raise NumericalFailureError(
             f"core inverse failed its defining equation (residual {residual:.3e})"
         )
@@ -495,7 +518,7 @@ def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     if peak == 0.0:
         return True
     v = v / peak
-    u, _, _, r = _svd_of(a, tol)
+    u, _, _, r, _ = _svd_of(a, tol)
     b = u[:, :r]
     residual = float(np.linalg.norm(v - b @ (b.T @ v)))
     return residual <= tol.residual_tol * float(np.linalg.norm(v))
@@ -539,31 +562,35 @@ def _as_powers(m) -> MatrixPowers:
 
 
 def _svd_of(m, tol: TolerancePolicy):
-    """``(u, s, vt, r)``: the thin SVD ``u diag(s) vt`` of ``m`` and its rank
-    ``r``, the number of singular values above ``rank_cutoff * s[0]``.
+    """``(u, s, vt, r, e)``: the thin SVD ``u diag(s) vt`` of ``2**-e m``, the
+    unit-scale copy of ``m`` (see :func:`_unit_scale`), and the rank ``r``,
+    the number of singular values above ``rank_cutoff * s[0]``.
 
     A square ``m``, bare or a :class:`MatrixPowers`, reads the SVD its
-    :class:`MatrixPowers` keeps (see :func:`_as_powers`); a non-square ``m``
-    takes its own.  The rank, the Moore-Penrose inverse and column-space
-    membership all read it, so one rule decides each of them.
+    :class:`MatrixPowers` keeps of its ``unit`` (see :func:`_as_powers`); a
+    non-square ``m`` takes its own, of its copy scaled the same way.  The
+    rank, the Moore-Penrose inverse and column-space membership all read it,
+    so one rule decides each of them.
     """
     if not isinstance(m, MatrixPowers):
         m = as_matrix(m)
     if isinstance(m, np.ndarray) and m.shape[0] != m.shape[1]:
-        (u, s, vt), shape = _svd(m), m.shape
+        unit, e = _unit_scale(m)
+        (u, s, vt), shape = _svd(unit), m.shape
     else:
         powers = _as_powers(m)
-        (u, s, vt), shape = powers._thin_svd(), powers.m.shape
-    return u, s, vt, int(np.count_nonzero(s > tol.rank_cutoff(shape) * s[0]))
+        (u, s, vt), shape, e = powers._thin_svd(), powers.m.shape, powers.exponent
+    return u, s, vt, int(np.count_nonzero(s > tol.rank_cutoff(shape) * s[0])), e
 
 
-def _pseudoinverse(u, s, vt, r: int) -> np.ndarray:
-    """``V S^+ U^T`` from the thin SVD ``(U, S, V^T)``, ``S^+`` inverting the
-    ``r`` largest singular values and zeroing the rest."""
+def _pseudoinverse(u, s, vt, r: int, e: int) -> np.ndarray:
+    """``2**-e V S^+ U^T`` from the thin SVD ``(U, S, V^T)`` of ``2**-e m``,
+    ``S^+`` inverting the ``r`` largest singular values and zeroing the
+    rest: the Moore-Penrose inverse of m, scaled back once."""
     inv = np.zeros_like(s)
     with np.errstate(over="ignore", invalid="ignore"):
         inv[:r] = 1.0 / s[:r]
-        x = (vt.T * inv) @ u.T
+        x = np.ldexp((vt.T * inv) @ u.T, -e)
     return _finite(x, "Moore-Penrose inverse")
 
 
@@ -590,11 +617,13 @@ _CERTIFICATE_MARGIN = 10.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _clears(m: np.ndarray, floor: float, peak: float | None = None) -> bool:
+def _clears(m: np.ndarray, floor: float) -> bool:
     """Whether the smallest singular value of the square matrix ``m``
     certainly exceeds ``_CERTIFICATE_MARGIN * floor``: a Cholesky
-    factorization of the shifted Gram matrix ``g - s I`` succeeds.  ``peak``,
-    the largest entry of ``m`` in magnitude, is taken here unless given.
+    factorization of the shifted Gram matrix ``g - s I`` succeeds.  The
+    staircase passes cores of its unit-scale copy; ``m`` is divided by its
+    own largest entry all the same, so a certificate does not depend on
+    how far that entry lies from 1.
 
     With ``a = m / peak`` (peak the largest entry), ``g = a^T a`` and
     ``f = trace(g) = ||a||_F**2 >= 1``, k the order of m and eps the machine
@@ -622,8 +651,7 @@ def _clears(m: np.ndarray, floor: float, peak: float | None = None) -> bool:
     (``False``), never a warning; ``floor / peak`` is taken first so that
     ``10 floor`` cannot overflow.
     """
-    if peak is None:
-        peak = float(np.abs(m).max())
+    peak = float(np.abs(m).max())
     if not 0.0 < peak < math.inf:
         return False
     a = m / peak
@@ -643,6 +671,14 @@ def _clears(m: np.ndarray, floor: float, peak: float | None = None) -> bool:
     return True
 
 
+def _unit_scale(m: np.ndarray):
+    """``(2**-e m, e)``, e the exponent of the largest entry of ``m`` in
+    magnitude (0 for a zero m): the copy of m whose largest entry lies in
+    [1/2, 1), on which its ranks and factorizations are computed."""
+    e = math.frexp(float(np.abs(m).max()))[1]
+    return np.ldexp(m, -e), e
+
+
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
     """``x``, unless an entry overflowed (or became NaN) while computing it."""
     if not np.all(np.isfinite(x)):
@@ -650,20 +686,15 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _frobenius(m: np.ndarray, peak: float | None = None) -> float:
-    """``||m||_F``, an upper bound on ``sigma_max(m)``, without overflow or
-    underflow at any scale of the entries; ``peak``, the largest entry of
-    ``m`` in magnitude, is taken here unless given."""
-    if peak is None:
-        peak = np.abs(m).max()
-    return float(peak * np.linalg.norm(m / peak)) if peak else 0.0
-
-
 def _check_decomposition(powers: MatrixPowers, dec: CoreEpDecomposition,
                          tol: TolerancePolicy):
     """Raise unless the factors reconstruct ``a = powers.m`` to
     ``equality_tol * ||a||_F``: ``u`` is orthonormal, so the error is a
     backward error of about ``eps ||a||``, judged on the scale of ``a``
-    alone."""
-    if _frobenius(dec.assemble() - powers.m) > tol.equality_tol * powers._norm:
+    alone.  Both norms are taken at unit scale, the error scaled by
+    ``2**-exponent`` as ``unit`` is, so neither overflows; factors that are
+    not finite give a NaN error, which fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = np.linalg.norm(np.ldexp(dec.assemble() - powers.m, -powers.exponent))
+    if not error <= tol.equality_tol * powers._norm:  # a NaN error fails
         raise NumericalFailureError("block triangularization does not reconstruct the input")

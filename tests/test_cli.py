@@ -122,6 +122,22 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert json.loads(out)["tolerances"]["equality_tol"] == 1e-7
 
+    def test_zero_upper_endpoint_is_written_unsigned(self, capsys, tmp_path):
+        # the upper endpoints are the negated lower rows n..2n of x, and a
+        # zero there once printed as -0
+        doc = tmp_path / "p.json"
+        doc.write_text(json.dumps({"a": [[1, 0], [0, 1]],
+                                   "y": [{"lower": [0, 0], "upper": [0, 0]},
+                                         {"lower": [1, 0], "upper": [2, 0]}]}))
+        code, out, _ = run_cli(capsys, "solve", str(doc))
+        assert code == EXIT_OK
+        assert "x~1 = (0 + 0*r, 0 + 0*r)" in out
+        code, out, _ = run_cli(capsys, "solve", str(doc), "--format", "json")
+        assert code == EXIT_OK
+        uppers = [rec["upper"] for rec in json.loads(out)["fuzzy"]]
+        assert [[math.copysign(1.0, v) for v in upper] for upper in uppers] == \
+            [[1.0, 1.0], [1.0, 1.0]]
+
     def test_huge_entries_inconsistent(self, capsys, tmp_path):
         doc = tmp_path / "p.json"
         rec = {"lower": [1, 0], "upper": [2, 0]}
@@ -590,6 +606,25 @@ def test_overflow_leaves_one_line_on_stderr(tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_NUMERICAL and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_matrix_near_the_float_maximum(tmp_path):
+    # its norm overflows, that of its unit-scale copy does not: the core-EP
+    # inverse is 2.5e-309 in every entry, printed with no warning, and T of
+    # the decomposition, 2e308, is not representable
+    doc = tmp_path / "m.json"
+    doc.write_text(json.dumps({"a": [[1e308, 1e308], [1e308, 1e308]]}))
+    env = _source_env()
+    proc = subprocess.run([sys.executable, "-m", "fuzzylinsys", "inverse", str(doc),
+                           "--kind", "core-ep"], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    np.testing.assert_allclose(np.array(rows, dtype=float), np.full((2, 2), 1e-308 / 4),
+                               rtol=1e-5, atol=0.0)
+    proc = subprocess.run([sys.executable, "-m", "fuzzylinsys", "inverse", str(doc),
+                           "--show-decomposition"], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_solve_does_not_import_scipy_linalg():

@@ -485,6 +485,24 @@ class TestReportInvariants:
                         assert (report.classification, report.is_generalized) == decisions
                         assert_report_invariants(report)
 
+    def test_a_near_the_float_maximum_keeps_the_decisions(self):
+        # A's norm and singular values overflow at 2^1020..2^1023, those of
+        # its unit-scale copy do not; a rank judged against an overflowed
+        # norm once changed the classification, with a RuntimeWarning
+        rng = np.random.default_rng(121)
+        for count in range(40):
+            n = int(rng.integers(2, 17))
+            a = rng.choice([-1.0, 1.0], (n, n))
+            if count % 2:
+                a[:, 0] = a[:, 1]
+            y = [fz(*rng.standard_normal(4)) for _ in range(n)]
+            expected = solve(FlsProblem(a=a, y=y)).classification
+            for p in (1020, 1021, 1022, 1023):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = solve(FlsProblem(a=np.ldexp(a, p), y=y))
+                assert report.classification == expected, f"n = {n}, A * 2^{p}"
+
     @pytest.mark.parametrize("s", [1.0, 1e100, 1e160, 1e-160])
     def test_right_hand_side_scale_alone(self, s):
         # (s, 2s) lies outside col(S) for A = [[1, 1], [1, 1]] at every s;

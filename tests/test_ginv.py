@@ -375,15 +375,18 @@ class TestCoreEpDecompose:
 
     def test_reconstruction_check_at_every_scale(self):
         # T perturbed by 1e-6 relative no longer reconstructs the input, at
-        # any scale: the bound is relative to ||m||, with no absolute floor
+        # any scale: the bound is relative to ||m||, with no absolute floor;
+        # nor does an N block that is not finite, whose error norm is NaN
         rng = np.random.default_rng(84)
         m = index_matrix(rng, 8, 2)
         for scale in (1.0, 1e-150, 1e150):
-            dec = core_ep_decompose(scale * m)
-            noise = rng.standard_normal(dec.t.shape)
-            dec.t = dec.t + 1e-6 * np.abs(dec.t).max() * noise
-            with pytest.raises(NumericalFailureError, match="reconstruct"):
-                _check_decomposition(MatrixPowers(scale * m), dec, DEFAULT_TOLERANCES)
+            perturbed, infinite = core_ep_decompose(scale * m), core_ep_decompose(scale * m)
+            noise = rng.standard_normal(perturbed.t.shape)
+            perturbed.t = perturbed.t + 1e-6 * np.abs(perturbed.t).max() * noise
+            infinite.n_block = np.full_like(infinite.n_block, np.inf)
+            for dec in (perturbed, infinite):
+                with pytest.raises(NumericalFailureError, match="reconstruct"):
+                    _check_decomposition(MatrixPowers(scale * m), dec, DEFAULT_TOLERANCES)
 
     def test_index_two_where_eigenvalues_blur(self):
         # Perturbed defective zero eigenvalues make a split of this matrix by
@@ -494,6 +497,28 @@ class TestCoreEpRoutes:
             assert (dec.k, dec.rho) == (len(ranks) - 2, ranks[-1])
             np.testing.assert_allclose(core_inverse(scale * m) * scale,
                                        core_ep_via_decomposition(m), rtol=1e-9, atol=1e-9)
+
+
+class TestNearTheFloatMaximum:
+    """A finite matrix within a factor n of the float maximum has the ranks
+    and inverses of the same matrix at unit scale, scaled: its norm and
+    singular values overflow, those of its unit-scale copy do not."""
+
+    def test_square(self):
+        m = 1e308 * np.ones((2, 2))
+        inverse = np.full((2, 2), 1e-308 / 4)  # 2.5e-309, subnormal
+        assert in_column_space(m, [1.0, 1.0])
+        for given in (m, MatrixPowers(m)):
+            assert rank(given) == 1
+            assert power_ranks(given) == [2, 1, 1]
+            for f in (moore_penrose, core_ep_via_decomposition, core_inverse):
+                np.testing.assert_allclose(f(given), inverse, rtol=1e-12, atol=0.0)
+
+    def test_rectangular(self):
+        m = 1e308 * np.ones((3, 2))
+        assert rank(m) == 1
+        np.testing.assert_allclose(moore_penrose(m), np.full((2, 3), 1e-308 / 6),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestCoreInverse:
@@ -734,13 +759,15 @@ def staircases(monkeypatch):
 
 
 def _direct_moore_penrose(m):
-    """The reference: ``V S^+ U^T`` from an SVD of ``m`` taken here."""
+    """The reference: ``2**-e V S^+ U^T`` from an SVD ``U S V^T`` of
+    ``2**-e m`` taken here, e the exponent of the largest entry of m."""
     a = np.asarray(m, dtype=float)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    e = np.frexp(np.abs(a).max())[1]
+    u, s, vt = np.linalg.svd(np.ldexp(a, -e), full_matrices=False)
     inv = np.zeros_like(s)
     keep = s > DEFAULT_TOLERANCES.rank_cutoff(a.shape) * s[0]
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    return np.ldexp((vt.T * inv) @ u.T, -e)
 
 
 class TestSharedSvd:

@@ -1,7 +1,7 @@
 """Static checks on the package source, parsed with the stdlib ``ast``: no
 module imports a name it never uses, every name an ``__all__`` lists exists,
-no module reads another package module's private names, and no private
-top-level name goes unused."""
+no module reads another package module's private names, no private
+top-level name goes unused, and every function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -108,3 +108,24 @@ def test_every_private_name_is_used(path):
     tree = ast.parse(path.read_text(), str(path))
     private = {name for name in _defined_names(tree) if _private(name)}
     assert sorted(private - set(_loaded_names())) == []
+
+
+def _unused_parameters(tree):
+    """``function(parameter)`` for each parameter of a function or method
+    that its body never reads, ``self`` excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for param in params:
+                if param.arg != "self" and param.arg not in read:
+                    yield f"{node.name}({param.arg})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), str(path))
+    assert sorted(_unused_parameters(tree)) == []

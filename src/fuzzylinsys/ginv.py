@@ -383,10 +383,11 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     inverts), the lower-left block vanishes and ``n_block = W^T m W`` is
     strictly upper triangular, with zero diagonal blocks of the sizes of the
     rank drops.  The kept core is that of the unit-scale copy of ``m`` and
-    is scaled back once for ``t``; a ``t`` beyond the float range fails the
-    check below.  Each column of W is signed so that its largest-magnitude
-    entry (the first, on ties) is positive, so the factors do not depend on
-    the signs LAPACK gives singular vectors.  ``m`` is a square matrix or a
+    is scaled back once for ``t``; a ``t`` beyond the float range raises a
+    :class:`NumericalFailureError` that says it overflows.  Each column of
+    W is signed so that its largest-magnitude entry (the first, on ties) is
+    positive, so the factors do not depend on the signs LAPACK gives
+    singular vectors.  ``m`` is a square matrix or a
     :class:`MatrixPowers`, whose cached staircase is then reused.
 
     ``t`` is nonsingular because the staircase's last step found it so.  The
@@ -401,8 +402,8 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     peaks = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
     w *= np.where(peaks < 0.0, -1.0, 1.0)
     aw = powers.m @ w
-    with np.errstate(over="ignore"):  # a t beyond the float range fails the check
-        t = np.ldexp(core, powers.exponent)
+    with np.errstate(over="ignore"):
+        t = _finite(np.ldexp(core, powers.exponent), "T block of the core-EP decomposition")
     dec = CoreEpDecomposition(u=u, t=t, s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2)
     _check_decomposition(powers, dec, tol)
     return dec
@@ -509,16 +510,16 @@ def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     left singular vectors ``U_r`` of ``m`` above the rank cutoff, the basis
     of ``col(m)`` that :func:`rank` counts: true iff
     ``||y - U_r U_r^T y|| <= residual_tol * ||y||``, a bound relative to y
-    alone.  The SVD is that of :func:`_svd_of`, so a square ``m`` reads the
-    one its :class:`MatrixPowers` keeps.  The zero vector is a member.
+    alone.  The SVD is that of :func:`_svd_of`, so a square ``m``, bare or a
+    :class:`MatrixPowers`, reads the one its :class:`MatrixPowers` keeps.
+    The zero vector is a member.
     """
-    a = as_matrix(m)
-    v = as_vector(y, a.shape[0])
+    u, _, _, r, _ = _svd_of(m, tol)
+    v = as_vector(y, u.shape[0])
     peak = np.abs(v).max()
     if peak == 0.0:
         return True
     v = v / peak
-    u, _, _, r, _ = _svd_of(a, tol)
     b = u[:, :r]
     residual = float(np.linalg.norm(v - b @ (b.T @ v)))
     return residual <= tol.residual_tol * float(np.linalg.norm(v))
@@ -595,18 +596,28 @@ def _pseudoinverse(u, s, vt, r: int, e: int) -> np.ndarray:
 
 
 def _svd(a: np.ndarray):
-    """Thin SVD ``(u, s, vt)`` by LAPACK gesdd; where gesdd does not
-    converge, by the slower but more robust gesvd."""
+    """Thin SVD ``(u, s, vt)`` by LAPACK gesdd, numpy's driver.
+
+    Where gesdd does not converge, it runs again on the triangular factor of
+    a Householder QR, ``a = Q R`` (of ``a^T`` when ``a`` is wide), and
+    ``R = U_R S V^T`` gives ``(Q U_R, S, V^T)``, or ``(V, S, U_R^T Q^T)``
+    for a wide ``a``: R has the singular values of ``a``, and Q is
+    orthonormal.  If that SVD fails too, a :class:`NumericalFailureError`
+    is raised.
+    """
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
-    import scipy.linalg
-
+    wide = a.shape[0] < a.shape[1]
+    q, r = np.linalg.qr(a.T if wide else a)
     try:
-        return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        u, s, vt = np.linalg.svd(r, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD failed: {exc}") from exc
+    if wide:  # a^T = (Q U_R) S V^T
+        return vt.T, s, (q @ u).T
+    return q @ u, s, vt
 
 
 # How far a certified lower bound on a smallest singular value must clear the

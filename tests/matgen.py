@@ -145,10 +145,13 @@ def graded_index_one(rng, n, condition):
 
 
 def gesdd_failure_case():
-    """A finite order-256 rank-192 matrix and a vector.  LAPACK gesdd
-    (numpy's SVD driver) fails to converge on ``A^T A A``, the inner matrix
-    of the core-EP formula at index 1, when computing singular vectors with
-    the OpenBLAS 0.3.31 that numpy 2.4 ships; other builds may converge."""
+    """A finite order-256 rank-192 index-1 matrix A and a vector.  LAPACK
+    gesdd (numpy's SVD driver) fails to converge on the unnormalized
+    ``A^T A A`` when computing singular vectors, at every power-of-two scale
+    from 2**-8 to 2**8, with the OpenBLAS 0.3.31 that numpy 2.4 ships; other
+    builds may converge.  The core-EP formula's inner matrix at index 1 is
+    ``A^T A A`` with A and A^k divided by their peaks, on which gesdd
+    converges."""
     rng = np.random.default_rng(1)
     for n in (4, 64, 256):
         a = rng.standard_normal((n, n))

@@ -611,7 +611,7 @@ def test_overflow_leaves_one_line_on_stderr(tmp_path):
 def test_matrix_near_the_float_maximum(tmp_path):
     # its norm overflows, that of its unit-scale copy does not: the core-EP
     # inverse is 2.5e-309 in every entry, printed with no warning, and T of
-    # the decomposition, 2e308, is not representable
+    # the decomposition, 2e308, is not representable, which the error says
     doc = tmp_path / "m.json"
     doc.write_text(json.dumps({"a": [[1e308, 1e308], [1e308, 1e308]]}))
     env = _source_env()
@@ -625,11 +625,13 @@ def test_matrix_near_the_float_maximum(tmp_path):
                            "--show-decomposition"], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_NUMERICAL
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "overflows" in proc.stderr
 
 
 def test_solve_does_not_import_scipy_linalg():
-    # scipy.linalg is needed only by the gesvd fallback, so importing the
-    # package, solving and showing a core-EP decomposition leave it unloaded.
+    # the package imports numpy and the standard library alone (a static
+    # check in test_hygiene.py); at run time, importing it, solving and
+    # showing a core-EP decomposition load no scipy.linalg either.
     script = (
         "import sys\n"
         "import fuzzylinsys\n"

@@ -832,7 +832,9 @@ class TestHalfBlockRoute:
             verify_solution(build_associated(problem), report)
 
     def test_gesdd_non_convergence_is_recovered(self):
-        # the core-EP inverse of the A block needs the SVD that gesdd fails on
+        # the A block is the rank-192 index-1 matrix of gesdd_failure_case;
+        # gesdd converges on every matrix the solver factorizes here, so this
+        # checks a generalized solve of that system end to end
         a, y = gesdd_failure_case()
         problem = stacked_problem(a, np.concatenate([y, -y - 1.0]), np.ones(2 * y.size))
         report = solve(problem)

@@ -143,23 +143,63 @@ class TestMoorePenrose:
             assert max(penrose_residuals(m, x)) <= EQ_TOL
 
 
+def gesdd_fails_off_triangular(monkeypatch):
+    """Make ``np.linalg.svd`` raise, as gesdd does when it does not converge,
+    on every matrix that is not upper triangular: the SVD of ``a`` fails and
+    the fallback's SVD of the triangular factor R runs."""
+    svd = np.linalg.svd
+
+    def fails_unless_triangular(a, *args, **kwargs):
+        if np.any(np.tril(a, -1)):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_unless_triangular)
+
+
 class TestSvdFallback:
     def test_core_ep_where_gesdd_does_not_converge(self):
+        # gesdd fails on the unnormalized A^T A A of this matrix (see
+        # test_where_gesdd_really_fails); the formula divides A and A^k by
+        # their peaks, and gesdd converges on the inner matrix it forms, so
+        # this checks the formula's result on that rank-192 index-1 matrix
         a, _ = gesdd_failure_case()
         x = core_ep_via_formula(a)
         assert max(core_ep_residuals(a, x, 1)) <= EQ_TOL
 
-    def test_gesvd_takes_over_when_gesdd_fails(self, monkeypatch):
+    def test_where_gesdd_really_fails(self):
+        # gesdd (numpy 2.4 with its OpenBLAS 0.3.31) does not converge on this
+        # matrix at any power-of-two scale, so the SVD its MatrixPowers keeps
+        # is taken by the QR route; other builds may converge
+        a, _ = gesdd_failure_case()
+        m = a.T @ a @ a
+        assert rank(m) == 192
+        assert max(penrose_residuals(m, moore_penrose(m))) <= EQ_TOL
+        assert matrix_index(m) == 1
+
+    def test_qr_route_takes_over_when_gesdd_fails(self, monkeypatch):
         rng = np.random.default_rng(23)
         m = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 6))
         expected_rank, expected_inverse = rank(m), moore_penrose(m)
+
+        gesdd_fails_off_triangular(monkeypatch)
+        assert rank(m) == expected_rank
+        np.testing.assert_allclose(moore_penrose(m), expected_inverse, atol=EQ_TOL)
+
+    def test_second_failure_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(ginv, "_last_powers", None)
+        rng = np.random.default_rng(25)
+        cases = [rng.standard_normal((p, 3)) @ rng.standard_normal((3, q))
+                 for p, q in ((5, 6), (6, 5), (5, 5))]
 
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
-        assert rank(m) == expected_rank
-        np.testing.assert_allclose(moore_penrose(m), expected_inverse, atol=EQ_TOL)
+        for m in cases:
+            for f in (rank, moore_penrose):
+                with pytest.raises(NumericalFailureError, match="SVD failed"):
+                    f(m)
 
 
 class TestOneThreeInverse:
@@ -514,6 +554,11 @@ class TestNearTheFloatMaximum:
             for f in (moore_penrose, core_ep_via_decomposition, core_inverse):
                 np.testing.assert_allclose(f(given), inverse, rtol=1e-12, atol=0.0)
 
+    def test_decomposition_names_the_overflow_of_t(self):
+        # every factor is computed; only T = [[2e308]] is not representable
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            core_ep_decompose(1e308 * np.ones((2, 2)))
+
     def test_rectangular(self):
         m = 1e308 * np.ones((3, 2))
         assert rank(m) == 1
@@ -652,13 +697,14 @@ class TestInColumnSpace:
 
         monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
         m = np.array([[0.0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1]])
-        moore_penrose(m)
-        svd_shapes.clear()
-        assert in_column_space(m, [1.0, 1.0, 2.0, 2.0])
-        assert not in_column_space(m, [1.0, 0.0, 0.0, 0.0])
-        assert svd_shapes == []
+        for given in (m, MatrixPowers(m)):
+            moore_penrose(given)
+            svd_shapes.clear()
+            assert in_column_space(given, [1.0, 1.0, 2.0, 2.0])
+            assert not in_column_space(given, [1.0, 0.0, 0.0, 0.0])
+            assert svd_shapes == []
 
-    def test_gesvd_takes_over_when_gesdd_fails(self, monkeypatch):
+    def test_qr_route_takes_over_when_gesdd_fails(self, monkeypatch):
         monkeypatch.setattr(ginv, "_last_powers", None)
         rng = np.random.default_rng(24)
         cases = [rng.standard_normal((p, 3)) @ rng.standard_normal((3, q))
@@ -666,10 +712,7 @@ class TestInColumnSpace:
         members = [(m, m @ rng.standard_normal(m.shape[1])) for m in cases]
         outsiders = [(m, rng.standard_normal(m.shape[0])) for m in cases]
 
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        gesdd_fails_off_triangular(monkeypatch)
         assert all(in_column_space(m, y) for m, y in members)
         assert not any(in_column_space(m, y) for m, y in outsiders)
 

@@ -1,9 +1,11 @@
 """Static checks on the package source, parsed with the stdlib ``ast``: no
 module imports a name it never uses, every name an ``__all__`` lists exists,
 no module reads another package module's private names, no private
-top-level name goes unused, and every function reads each of its parameters."""
+top-level name goes unused, every function reads each of its parameters, and
+every import is relative or of numpy or the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,26 @@ def _unused_parameters(tree):
 def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(), str(path))
     assert sorted(_unused_parameters(tree)) == []
+
+
+def _foreign_imports(tree):
+    """Each module an import names that is not relative, numpy or in the
+    standard library, at any depth of the module (a function's lazy import
+    too)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "numpy" and top not in sys.stdlib_module_names:
+                yield name
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    found = {f"{path.stem}: {name}" for path in PACKAGE.glob("*.py")
+             for name in _foreign_imports(ast.parse(path.read_text(), str(path)))}
+    assert sorted(found) == []

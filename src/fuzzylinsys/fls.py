@@ -19,14 +19,17 @@ matrix is formed or factorized.
 
 The solver works in half coordinates: a 2n-row v is held as ``Q v /
 sqrt(2)``, the rows for ``|A|`` stacked over those for ``A``.  The
-right-hand side is taken there once per system (``AssociatedSystem._rhs``),
-and every stage reads it: the projections, the solve on each half-block and
-the residual ``M x_h - w_h`` of each.  Q is orthogonal, so every 2-norm rule
+right-hand side is taken there once per system (``AssociatedSystem._rhs``)
+and held as a matrix's unit copy is: each generator's column scaled by the
+power of two that brings its largest entry into [1/2, 1).  The projections,
+both rank tests and the residual read that one copy; the solve on each
+half-block reads the full-scale one.  Q is orthogonal, so every 2-norm rule
 reads the same there; only the solution and the infinity norm of the
 reported residual are taken back to full coordinates.  One routine forms
-that residual, for the report and for :func:`verify_solution`, with each
-generator's column at one power-of-two scale, so no term of it overflows,
-and applies the scale once, to the reported number.
+that residual ``M x_h - w_h``, for the report and for
+:func:`verify_solution`, with each generator's column at one power-of-two
+scale, so no term of it overflows, and applies the scale once, to the
+reported number.
 """
 
 import math
@@ -37,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ginv
-from ._util import as_square
+from ._util import as_square, as_vector
 from .errors import DimensionMismatchError, IndexTooLargeError, NumericalFailureError
 from .fuzzy import AffineFn, FuzzyNumber, Validity, validity
 from .ginv import DEFAULT_TOLERANCES, TolerancePolicy
@@ -120,18 +123,23 @@ class AssociatedSystem:
         return ginv.MatrixPowers(self.d + self.e), ginv.MatrixPowers(self.d - self.e)
 
     @cached_property
-    def _rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(w, peak, size)``: the generators ``y = [y0 y1]`` in half
+    def _rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, unit, f, size)``: the generators ``y = [y0 y1]`` in half
         coordinates, ``w = Q y / sqrt(2)`` with the rows for ``|A|`` over
-        those for ``A``; the largest entry of each column of w (raised to the
-        smallest normal float, so that a zero one divides by that); and the
-        norm of each column divided by it: the unit scale on which every
-        residual of this system is judged (:func:`_residual_rank`).  y is
-        halved before the butterfly adds, so no entry of w overflows; built
-        on first use."""
+        those for ``A``; ``unit = 2**-f w`` column by column, f the exponent
+        of the column's largest entry (that of the smallest normal float for
+        a zero or subnormal one), so a column's largest entry lies in
+        [1/2, 1), as in a matrix's unit copy (:attr:`ginv.MatrixPowers.unit`);
+        and ``size``, the norm of each column of ``unit``.  Every stage that
+        judges or combines y reads ``unit``: the projections
+        (:func:`_outside`), both rank tests (:func:`_residual_rank`) and the
+        residual (:func:`_residual`); :func:`solve` solves on w, which a
+        subnormal A needs at full scale.  y is halved before the butterfly
+        adds, so no entry of w overflows; built on first use."""
         w = _butterfly(0.5 * np.column_stack([self.y0, self.y1]))
-        peak = np.maximum(np.abs(w).max(axis=0), _TINY)
-        return w, peak, np.linalg.norm(w / peak, axis=0)
+        f = np.frexp(np.maximum(np.abs(w).max(axis=0), _TINY))[1]
+        unit = np.ldexp(w, -f)
+        return w, unit, f, np.sqrt((unit * unit).sum(axis=0))  # np.linalg.norm's bits
 
 
 @dataclass(frozen=True)
@@ -210,8 +218,7 @@ def core_ep_from_blocks(d, e, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.n
     e = as_square(e)
     if d.shape != e.shape:
         raise DimensionMismatchError(f"block shapes differ: {d.shape} vs {e.shape}")
-    p = ginv.core_ep_via_decomposition(d + e, tol)
-    q = ginv.core_ep_via_decomposition(d - e, tol)
+    p, q = (ginv.core_ep_via_decomposition(ginv.MatrixPowers(m), tol) for m in (d + e, d - e))
     h = 0.5 * (p + q)
     z = 0.5 * (p - q)
     return np.block([[h, z], [z, h]])
@@ -309,7 +316,7 @@ def verify_solution(
     so it returns that residual bit for bit, for every method and at every
     scale.
     """
-    x = np.column_stack([report.crisp_x0, report.crisp_x1])
+    x = np.column_stack([as_vector(c, 2 * sys.n) for c in (report.crisp_x0, report.crisp_x1)])
     outside = _analyse(sys, tol).outside if report.is_generalized else None
     return _residual(sys, x, outside, tol)[0]
 
@@ -318,7 +325,7 @@ class _Analysis(NamedTuple):
     """What :func:`_analyse` finds out about a system under a tolerance policy."""
 
     classification: Classification
-    outside: np.ndarray  # (I - P) w / peak of sys._rhs, P the projector onto col(S**k)
+    outside: np.ndarray  # (I - P) unit of sys._rhs, P the projector onto col(S**k)
     member: bool  # whether y lies in col(S**k)
 
 
@@ -357,30 +364,30 @@ def _butterfly(v: np.ndarray) -> np.ndarray:
 
 
 def _outside(bases, sys: AssociatedSystem) -> np.ndarray:
-    """``(I - P) w / peak`` for the generators w of ``sys._rhs``, in half
-    coordinates and at unit scale, P the orthogonal projector onto the
-    column space that ``bases``, one per half-block, span: each half is
-    projected on its own basis, and no product overflows, whatever the
-    scale of y."""
-    u = sys._rhs[0] / sys._rhs[1]
+    """``(I - P) unit`` for the unit copy of the generators of ``sys._rhs``,
+    in half coordinates, P the orthogonal projector onto the column space
+    that ``bases``, one per half-block, span: each half is projected on its
+    own basis, and no product overflows, whatever the scale of y."""
+    u = sys._rhs[1]
     return np.concatenate([ui - b @ (b.T @ ui) for b, ui in zip(bases, (u[:sys.n], u[sys.n:]))])
 
 
 def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -> int:
-    """Rank of a residual g, at the unit scale of ``sys._rhs``, of the two
-    generators w of ``sys`` in half coordinates, such as ``(I - P) w / peak``.
+    """Rank of a residual g of the unit copy of the two generators of
+    ``sys._rhs``, in half coordinates, such as ``(I - P) unit``.
 
-    A column within ``residual_tol * ||w_i||`` of its generator ``w_i``
-    counts as zero, both norms taken on the scale of ``sys._rhs``: each
-    column divided by the largest entry of its generator.  Q is orthogonal,
-    so that is the rule on y in full coordinates.  So every decision is
-    relative to the generator alone, whatever its scale, no norm overflows or
-    underflows, and a zero generator, whose residual is zero, gets the bound
-    0.  Those are dropped first: with both left, the second counts only by its
+    A column within ``residual_tol * size_i`` of its generator counts as
+    zero, ``size_i`` the norm of that generator's unit column: both norms
+    are taken at the power of two of the generator's largest entry.  Q is
+    orthogonal, so that is the rule ``residual_tol * ||y_i||`` on y in full
+    coordinates.  So every decision is relative to the generator alone,
+    whatever its scale, no norm overflows or underflows, and a zero
+    generator, whose residual is zero, gets the bound 0.  Those are dropped
+    first: with both left, the second counts only by its
     part orthogonal to the first (``R[1, 1]`` of a QR of g), so an in-bound
     roundoff residual never hides a real one parallel to it.
     """
-    bound = tol.residual_tol * sys._rhs[2]
+    bound = tol.residual_tol * sys._rhs[3]
     norms = np.linalg.norm(g, axis=0)
     if not np.all(norms > bound):
         return int(np.count_nonzero(norms > bound))
@@ -391,45 +398,45 @@ def _residual_rank(g: np.ndarray, sys: AssociatedSystem, tol: TolerancePolicy) -
 def _residual(sys: AssociatedSystem, x: np.ndarray, outside, tol: TolerancePolicy):
     """``(residual, beyond)`` of a solution x, its columns ``[x0 x1]`` in
     full coordinates.  ``residual`` is the max over r in [0, 1] of the
-    infinity norm of ``S X(r) - Y(r)``, or, given ``outside = (I - P) w /
-    peak`` (:func:`_analyse`), of the auxiliary system's ``S X(r) - P Y(r)``:
-    the one residual behind every report's and :func:`verify_solution`'s
-    number.  For an exact solution (no ``outside``), ``beyond`` tells whether
-    a column of that residual exceeds ``residual_tol * (||S|| ||x_i|| +
+    infinity norm of ``S X(r) - Y(r)``, or, given ``outside = (I - P) unit``
+    (:func:`_analyse`), of the auxiliary system's ``S X(r) - P Y(r)``: the
+    one residual behind every report's and :func:`verify_solution`'s number.
+    For an exact solution (no ``outside``), ``beyond`` tells whether a
+    column of that residual exceeds ``residual_tol * (||S|| ||x_i|| +
     ||y_i||)``, i.e. whether x is not a backward-stable solution under the
     tolerance policy; for a generalized one it is False.
 
     The residual is ``M x_h - w_h`` on each half-block M, x taken into half
-    coordinates and w that of ``sys._rhs``; Q is orthogonal, so every 2-norm
-    there is the full one over ``sqrt(2)`` and the rule is the same.
-    ``||S||``, the larger ``sigma_max`` of the half-blocks, is the one their
-    staircases found (:meth:`ginv.MatrixPowers.norm_bound`), kept as that
-    unit-scale number and the exponent of the half-blocks' unit copies,
-    because it can exceed the float maximum.  Column i is formed at the
-    scale ``2**-e_i``, ``e_i`` the exponent of the larger of its generator's
-    peak and ``||S|| max|x_i|``; a zero column of x adds nothing, so an x
-    lost to underflow is judged against y itself.  M is read as its unit
-    copy (:attr:`ginv.MatrixPowers.unit`), x is brought to the rest of that
-    scale, and each term is scaled before it is combined with the others, so
-    none overflows, whatever the scales of y, S and x.  The backward-error test
+    coordinates; Q is orthogonal, so every 2-norm there is the full one over
+    ``sqrt(2)`` and the rule is the same.  ``||S||``, the larger
+    ``sigma_max`` of the half-blocks, is the one their staircases found
+    (:meth:`ginv.MatrixPowers.norm_bound`), kept as that unit-scale number
+    and the exponent of the half-blocks' unit copies, because it can exceed
+    the float maximum.  Column i is formed at the scale ``2**-e_i``, ``e_i``
+    the larger of its generator's exponent ``f_i`` (``sys._rhs``) and that of
+    ``||S|| max|x_i|``; a zero column of x adds nothing, so an x lost to
+    underflow is judged against y itself.  M is read as its unit copy
+    (:attr:`ginv.MatrixPowers.unit`), x is brought to the rest of that
+    scale, and w (or ``P w``, which is ``unit - outside``) and its norm are
+    brought from the unit copy of y by ``2**(f_i - e_i)``, so no term
+    overflows, whatever the scales of y, S and x.  The backward-error test
     reads those columns; the exponent is applied once, to the max-over-r
     norm, which reads inf if it lies beyond the float range.  Scaling by a
     power of two is exact, so a residual in the normal range has the bits of
     the unscaled one."""
-    w, peak, size = sys._rhs
+    _, unit, f, size = sys._rhs
     # |A| and A have the same largest entry, so their unit copies share one exponent
     norm, scale = max(h.norm_bound(tol) for h in sys.halves), sys.halves[0].exponent
     exp = math.frexp(norm)[1] + scale  # ||S|| = norm * 2**scale can exceed the float range
-    e = np.array([max(math.frexp(p)[1], exp + math.frexp(v)[1] if v else -math.inf)
-                  for p, v in zip(peak.tolist(), np.abs(x).max(axis=0).tolist())])
-    x_h, w_peak = np.ldexp(_butterfly(0.5 * x), scale - e), np.ldexp(peak, -e)
-    g = np.concatenate([h.unit @ xi for h, xi in
-                        zip(sys.halves, (x_h[:sys.n], x_h[sys.n:]))]) - np.ldexp(w, -e)
+    top_x = np.abs(x).max(axis=0)
+    e = np.where(top_x > 0, np.maximum(f, exp + np.frexp(top_x)[1]), f)
+    x_h = np.ldexp(_butterfly(0.5 * x), scale - e)
+    g = np.concatenate([h.unit @ xi for h, xi in zip(sys.halves, (x_h[:sys.n], x_h[sys.n:]))])
+    g -= np.ldexp(unit if outside is None else unit - outside, f - e)
+    beyond = False
     if outside is None:  # 2-norms with the bits of np.linalg.norm's, without its overhead
-        bound = tol.residual_tol * (norm * np.sqrt((x_h * x_h).sum(axis=0)) + size * w_peak)
+        bound = tol.residual_tol * (norm * np.sqrt((x_h * x_h).sum(axis=0)) + np.ldexp(size, f - e))
         beyond = bool(np.any(np.sqrt((g * g).sum(axis=0)) > bound))
-    else:
-        g, beyond = g + w_peak * outside, False
     g = _butterfly(np.ldexp(g, e - e.max()))  # the norm is convex in r: its max is at 0 or 1
     with np.errstate(over="ignore"):
         top = max(np.abs(g[:, 0]).max(), np.abs(g[:, 0] + g[:, 1]).max())

@@ -64,10 +64,11 @@ class TolerancePolicy:
     takes both norms on y scaled to unit largest entry, the residual being
     the part of y off the left singular vectors of the matrix above the rank
     cutoff, and the solver on the generator in half coordinates,
-    ``Q y / sqrt(2)``, scaled the same way; Q is orthogonal, so the rule is
-    the same.  The residual ``S x - y`` of an exact solution is bounded as a
-    backward error, by ``residual_tol * (||S|| ||x|| + ||y||)``, in half
-    coordinates too, each column taken at the power of two of the larger of
+    ``Q y / sqrt(2)``, each column scaled by a power of two to largest
+    entry in [1/2, 1); Q is orthogonal, so the rule is the same.  The
+    residual ``S x - y`` of an exact solution is bounded as a backward
+    error, by ``residual_tol * (||S|| ||x|| + ||y||)``, in half coordinates
+    too, each column taken at the power of two of the larger of
     ``||S|| max|x_i|`` and the largest entry of ``y_i``; a zero ``x_i``
     counts for nothing there, so an x lost to underflow fails the bound.
     ``equality_tol`` bounds matrix-equality comparisons.

@@ -42,7 +42,7 @@ from fuzzylinsys import (
     solve,
     verify_solution,
 )
-from fuzzylinsys import fls
+from fuzzylinsys import fls, ginv
 from fuzzylinsys.fuzzy import AffineFn, FuzzyNumber
 
 EQ_TOL = 1e-9
@@ -196,6 +196,18 @@ class TestBlockCoreEp:
             scale = 1.0 + np.linalg.norm(direct)
             assert np.linalg.norm(direct - blocked) <= RES_TOL * scale
 
+    def test_leaves_the_staircase_memo_alone(self, monkeypatch):
+        # each half gets a MatrixPowers of its own, so the call neither reads
+        # nor replaces the engine's memo of the last bare matrix, and the
+        # result has the bits of the two fresh staircases
+        held = MatrixPowers(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        monkeypatch.setattr(ginv, "_last_powers", held)
+        d, e = np.array([[2.0, 0.0], [1.0, 1.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])
+        blocked = core_ep_from_blocks(d, e)
+        assert ginv._last_powers is held
+        p, q = (core_ep_via_decomposition(MatrixPowers(m)) for m in (d + e, d - e))
+        np.testing.assert_array_equal(blocked, np.block([[p + q, p - q], [p - q, p + q]]) * 0.5)
+
     def test_extracted_blocks_recover_half_inverses(self):
         # reverse direction: H +- Z equal the half-size core-EP inverses
         for d, e in block_pair_suite(seed=99, reps=8):
@@ -330,6 +342,28 @@ class TestVerifySolution:
         gap_at_0 = np.linalg.norm(sx - inconsistent_2x2.y0, np.inf)
         assert gap_at_0 == pytest.approx(3.25, abs=1e-9)
         assert residual == pytest.approx(7.0, abs=1e-9)
+
+    def test_malformed_report_is_a_typed_error(self, consistent_2x2, consistent_3x3):
+        # a report is re-substituted only if its columns fit the system and
+        # are finite; report_from_dict can carry a NaN, which json.load reads
+        report = solve(consistent_2x2.problem)
+        with pytest.raises(DimensionMismatchError):
+            verify_solution(consistent_3x3.system, report)
+        x0 = report.crisp_x0.copy()
+        x0[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            verify_solution(consistent_2x2.system, dataclasses.replace(report, crisp_x0=x0))
+
+    def test_auxiliary_residual_of_a_zero_solution_is_zero(self):
+        # A is nilpotent of index 3, so col(S^3) = 0: P = 0 and x = S^ce y = 0,
+        # and S x - P y vanishes exactly, with no roundoff from the projection
+        problem = FlsProblem(a=np.diag(np.ones(2), 1),
+                             y=[fz(v, v / 2, 3 * v, -v) for v in (0.7, 0.1, 0.3)])
+        report = solve(problem)
+        assert report.is_generalized
+        assert not np.any(report.crisp_x0) and not np.any(report.crisp_x1)
+        assert report.residual == 0.0
+        assert verify_solution(build_associated(problem), report) == report.residual
 
     def test_returns_the_report_residual(self):
         # one residual function: re-substitution gives the report's number

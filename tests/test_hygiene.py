@@ -1,10 +1,12 @@
 """Static checks on the package source, parsed with the stdlib ``ast``: no
 module imports a name it never uses, every name an ``__all__`` lists exists,
 no module reads another package module's private names, no private
-top-level name goes unused, every function reads each of its parameters, and
-every import is relative or of numpy or the standard library."""
+top-level name goes unused, every function reads each of its parameters,
+every import is relative or of numpy or the standard library, and every
+cross-reference in a docstring names something that exists."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -154,3 +156,73 @@ def test_package_imports_only_numpy_and_the_standard_library():
     found = {f"{path.stem}: {name}" for path in PACKAGE.glob("*.py")
              for name in _foreign_imports(ast.parse(path.read_text(), str(path)))}
     assert sorted(found) == []
+
+
+_REFERENCE = re.compile(r":(?:func|meth|attr|class|data):`~?([\w.]+)`")
+
+
+def _namespace(tree):
+    """Each top-level name of a module, mapped to its class if it is one."""
+    names = dict.fromkeys(_top_level_names(tree))
+    names.update((node.name, node) for node in tree.body if isinstance(node, ast.ClassDef))
+    return names
+
+
+def _members(cls):
+    """The names a class defines: its methods and class-level names, and the
+    attributes its ``__init__`` assigns to ``self``."""
+    members = set(_defined_names(cls))
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            members.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                           and isinstance(n.ctx, ast.Store)
+                           and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return members
+
+
+def _docstrings(node, cls=None):
+    """``(docstring, enclosing class)`` for the module, every class and every
+    function below ``node``."""
+    if isinstance(node, ast.ClassDef):
+        cls = node
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        doc = ast.get_docstring(node, clean=False)
+        if doc:
+            yield doc, cls
+    for child in ast.iter_child_nodes(node):
+        yield from _docstrings(child, cls)
+
+
+def _resolves(reference, cls, namespaces):
+    """Whether a dotted docstring reference names something: a name of its
+    own module or of another package module, a member of a class named so,
+    or a member of the enclosing class ``cls``."""
+    parts = reference.split(".")
+    if parts[0] == PACKAGE.name:
+        parts = parts[1:]
+    scopes = list(namespaces)
+    if len(parts) > 1 and parts[0] in namespaces:
+        scopes, parts, cls = [parts[0]], parts[1:], None
+    if len(parts) == 1 and cls is not None and parts[0] in _members(cls):
+        return True
+    for scope in scopes:
+        names = namespaces[scope]
+        if parts[0] in names and (len(parts) == 1 or (
+                len(parts) == 2 and isinstance(names[parts[0]], ast.ClassDef)
+                and parts[1] in _members(names[parts[0]]))):
+            return True
+    return False
+
+
+def test_every_docstring_reference_resolves():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
+    namespaces = {stem: _namespace(tree) for stem, tree in trees.items()}
+    references, stale = 0, []
+    for stem, tree in trees.items():
+        for doc, cls in _docstrings(tree):
+            for reference in _REFERENCE.findall(doc):
+                references += 1
+                if not _resolves(reference, cls, namespaces):
+                    stale.append(f"{stem}: {reference}")
+    assert references > 0
+    assert stale == []

@@ -34,6 +34,9 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_NUMERICAL = 4
 
+_EXIT_CODES = {ProblemFormatError: EXIT_PARSE, DimensionMismatchError: EXIT_DIMENSION,
+               NumericalFailureError: EXIT_NUMERICAL, IndexTooLargeError: EXIT_NUMERICAL}
+
 _METHOD_FLAGS = {
     "auto": None,
     "inverse": fls.METHOD_INVERSE,
@@ -41,6 +44,10 @@ _METHOD_FLAGS = {
     "method2-i": fls.METHOD_2I,
     "method2-ii": fls.METHOD_2II,
 }
+
+# The flag that sets each field of the tolerance policy.
+_TOLERANCE_FLAGS = {"rank_rel_tol": "rank_tol", "residual_tol": "residual_tol",
+                    "equality_tol": "eq_tol"}
 
 _INVERSE_KINDS = {
     "core-ep": ginv.core_ep_via_decomposition,
@@ -57,8 +64,7 @@ _PRECISION = 6
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     code = EXIT_OK
     try:
         code = _run(args)
@@ -76,15 +82,9 @@ def _run(args) -> int:
     """Run the subcommand, mapping the package's errors to exit codes."""
     try:
         return args.handler(args)
-    except ProblemFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (NumericalFailureError, IndexTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,9 +143,8 @@ def cmd_inverse(args) -> int:
     if not 1 <= args.precision <= 17:
         raise ProblemFormatError(f"--precision must be in 1..17, got {args.precision}")
     a = load_matrix(args.input)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"inverse requires a square matrix, got {a.shape}")
-    # every kind and the decomposition share one staircase and one SVD
+    # every kind and the decomposition share one staircase and one SVD; it
+    # raises DimensionMismatchError for a matrix that is not square
     powers = ginv.MatrixPowers(a)
     x = _INVERSE_KINDS[args.kind](powers)
     print(f"{args.kind} inverse ({a.shape[0]}x{a.shape[1]}):")
@@ -170,11 +169,8 @@ def load_problem(path: str) -> fls.FlsProblem:
     missing = {"a", "y"} - doc.keys()
     if missing:
         raise ProblemFormatError(f"problem document lacks field(s): {', '.join(sorted(missing))}")
-    a = _parse_matrix_rows(doc["a"], "a")
-    if not isinstance(doc["y"], list) or not doc["y"]:
-        raise ProblemFormatError("field 'y' must be a nonempty list of fuzzy-number records")
-    y = [_parse_fuzzy_record(rec, i) for i, rec in enumerate(doc["y"])]
-    return fls.FlsProblem(a=a, y=y)
+    return fls.FlsProblem(a=_parse_matrix_rows(doc["a"], "a"),
+                          y=_parse_fuzzy_records(doc["y"], "y"))
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -201,40 +197,41 @@ def _load_json(path: str):
 def _parse_matrix_rows(rows, name: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ProblemFormatError(f"field {name!r} must be a list of rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ProblemFormatError(f"field {name!r} has ragged rows")
-    if width == 0:
+    if not rows[0]:
         raise ProblemFormatError(f"field {name!r} has empty rows")
-    for r in rows:
-        for v in r:
-            _require_number(v, name)
-    return np.array(rows, dtype=float)
+    ragged = f"as long as {name}[0]: field {name!r} has ragged rows"
+    return np.array([_numbers(r, f"{name}[{i}]", len(rows[0]), ragged) for i, r in enumerate(rows)])
 
 
-def _parse_fuzzy_record(rec, i: int) -> FuzzyNumber:
-    if not isinstance(rec, dict):
-        raise ProblemFormatError(f"y[{i}] must be an object with 'lower' and 'upper'")
-    reserved = [k for k in _RESERVED_KEYS if k in rec]
+def _parse_fuzzy_records(recs, name: str) -> list[FuzzyNumber]:
+    if not isinstance(recs, list) or not recs:
+        raise ProblemFormatError(f"field {name!r} must be a nonempty list of fuzzy-number records")
+    return [_parse_fuzzy_record(rec, f"{name}[{i}]") for i, rec in enumerate(recs)]
+
+
+def _parse_fuzzy_record(rec, name: str) -> FuzzyNumber:
+    reserved = [k for k in _RESERVED_KEYS if isinstance(rec, dict) and k in rec]
     if reserved:
-        raise ProblemFormatError(
-            f"y[{i}] uses the reserved sampled-grid encoding ({reserved[0]!r}); "
-            "only affine endpoints [c0, c1] are supported"
-        )
-    if set(rec) != {"lower", "upper"}:
-        raise ProblemFormatError(f"y[{i}] must have exactly the fields 'lower' and 'upper'")
-    return FuzzyNumber(
-        lower=_parse_affine(rec["lower"], f"y[{i}].lower"),
-        upper=_parse_affine(rec["upper"], f"y[{i}].upper"),
-    )
+        raise ProblemFormatError(f"{name} uses the reserved sampled-grid encoding "
+                                 f"({reserved[0]!r}); only affine endpoints [c0, c1] are supported")
+    rec = _record(rec, name, ("lower", "upper"))
+    lower, upper = (_numbers(rec[end], f"{name}.{end}", 2, "a two-element list [c0, c1]")
+                    for end in ("lower", "upper"))
+    return FuzzyNumber(AffineFn(*lower), AffineFn(*upper))
 
 
-def _parse_affine(obj, name: str) -> AffineFn:
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise ProblemFormatError(f"{name} must be a two-element list [c0, c1]")
-    for v in obj:
-        _require_number(v, name)
-    return AffineFn(float(obj[0]), float(obj[1]))
+def _record(obj, name: str, fields) -> dict:
+    """``obj`` if it is an object with exactly the given fields."""
+    if not isinstance(obj, dict) or set(obj) != set(fields):
+        raise ProblemFormatError(f"{name} must be an object with exactly the fields {list(fields)}")
+    return obj
+
+
+def _numbers(obj, name: str, length: int, form: str) -> list[float]:
+    """``obj`` as floats if it is a list of ``length`` finite numbers."""
+    if not isinstance(obj, list) or len(obj) != length:
+        raise ProblemFormatError(f"{name} must be {form}")
+    return [float(_require_number(v, name)) for v in obj]
 
 
 def _require_number(v, name: str):
@@ -244,18 +241,22 @@ def _require_number(v, name: str):
         number = False
     if not number:
         raise ProblemFormatError(f"{name} contains a non-numeric or non-finite entry: {v!r}")
+    return v
+
+
+def _require_count(v, name: str, low: int, high: int):
+    if type(v) is not int or not low <= v <= high:
+        raise ProblemFormatError(f"{name} must be an integer in {low}..{high}, got {v!r}")
 
 
 def _tolerances_from_flags(args) -> TolerancePolicy:
-    kwargs = {}
-    if args.rank_tol is not None:
-        kwargs["rank_rel_tol"] = args.rank_tol
-    if args.residual_tol is not None:
-        kwargs["residual_tol"] = args.residual_tol
-    if args.eq_tol is not None:
-        kwargs["equality_tol"] = args.eq_tol
+    return _tolerance_policy({field: getattr(args, flag) for field, flag in _TOLERANCE_FLAGS.items()
+                              if getattr(args, flag) is not None})
+
+
+def _tolerance_policy(fields: dict) -> TolerancePolicy:
     try:
-        return TolerancePolicy(**kwargs)
+        return TolerancePolicy(**fields)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
 
@@ -265,71 +266,75 @@ def _tolerances_from_flags(args) -> TolerancePolicy:
 def report_to_dict(report: fls.SolveReport, tol: TolerancePolicy) -> dict:
     """Serializable form of a report; floats keep full round-trip precision."""
     return {
-        "classification": {
-            "kind": report.classification.kind,
-            "rank_s": report.classification.rank_s,
-            "rank_aug": report.classification.rank_aug,
-            "index_s": report.classification.index_s,
-        },
+        "classification": dict(vars(report.classification)),
         "method": report.method,
-        "crisp": {
-            "x0": [float(v) for v in report.crisp_x0],
-            "x1": [float(v) for v in report.crisp_x1],
-        },
-        "fuzzy": [
-            {
-                "lower": [fn.lower.c0, fn.lower.c1],
-                "upper": [fn.upper.c0, fn.upper.c1],
-            }
-            for fn in report.fuzzy_x
-        ],
-        "verdicts": [
-            {"valid": v.is_valid, "violated": list(v.violations)} for v in report.verdicts
-        ],
+        "crisp": {"x0": report.crisp_x0.tolist(), "x1": report.crisp_x1.tolist()},
+        "fuzzy": [{"lower": [fn.lower.c0, fn.lower.c1], "upper": [fn.upper.c0, fn.upper.c1]}
+                  for fn in report.fuzzy_x],
+        "verdicts": [{"valid": v.is_valid, "violated": list(v.violations)}
+                     for v in report.verdicts],
         "overall": "strong" if report.strong else "weak",
         "is_generalized": report.is_generalized,
         "residual": float(report.residual),
-        "tolerances": {
-            "rank_rel_tol": tol.rank_rel_tol,
-            "residual_tol": tol.residual_tol,
-            "equality_tol": tol.equality_tol,
-        },
+        "tolerances": dict(vars(tol)),
     }
 
 
 def report_from_dict(doc: dict) -> tuple[fls.SolveReport, TolerancePolicy]:
-    """Inverse of :func:`report_to_dict`."""
-    cls = fls.Classification(
-        kind=doc["classification"]["kind"],
-        rank_s=doc["classification"]["rank_s"],
-        rank_aug=doc["classification"]["rank_aug"],
-        index_s=doc["classification"]["index_s"],
-    )
-    fuzzy_x = [
-        FuzzyNumber(
-            lower=AffineFn(*rec["lower"]),
-            upper=AffineFn(*rec["upper"]),
-        )
-        for rec in doc["fuzzy"]
-    ]
-    verdicts = [Validity(tuple(v["violated"])) for v in doc["verdicts"]]
-    report = fls.SolveReport(
-        classification=cls,
-        method=doc["method"],
-        crisp_x0=np.array(doc["crisp"]["x0"], dtype=float),
-        crisp_x1=np.array(doc["crisp"]["x1"], dtype=float),
-        fuzzy_x=fuzzy_x,
-        verdicts=verdicts,
-        residual=doc["residual"],
-        is_generalized=doc["is_generalized"],
-    )
-    t = doc["tolerances"]
-    tol = TolerancePolicy(
-        rank_rel_tol=t["rank_rel_tol"],
-        residual_tol=t["residual_tol"],
-        equality_tol=t["equality_tol"],
-    )
-    return report, tol
+    """Inverse of :func:`report_to_dict`.
+
+    Numbers and fuzzy records are read by the parsers of
+    :func:`load_problem`.  A document that :func:`report_to_dict` could not
+    have written raises :class:`~fuzzylinsys.errors.ProblemFormatError`
+    naming the field: a missing or unknown field, a value of the wrong type,
+    a non-finite number, vectors whose lengths disagree, a method or
+    classification kind the solver does not report, a rank or index out of
+    range, or a ``valid``, ``overall`` or ``kind`` at odds with what it is
+    derived from.
+    """
+    doc = _record(doc, "report", ("classification", "method", "crisp", "fuzzy", "verdicts",
+                                  "overall", "is_generalized", "residual", "tolerances"))
+    fuzzy_x = _parse_fuzzy_records(doc["fuzzy"], "fuzzy")
+    n = 2 * len(fuzzy_x)  # the order of S
+    crisp = _record(doc["crisp"], "crisp", ("x0", "x1"))
+    x0, x1 = (np.array(_numbers(crisp[key], f"crisp.{key}", n, f"a list of {n} numbers"))
+              for key in ("x0", "x1"))
+    cls = _record(doc["classification"], "classification", fls.Classification.__dataclass_fields__)
+    _require_count(cls["rank_s"], "classification.rank_s", 0, n)
+    _require_count(cls["rank_aug"], "classification.rank_aug", cls["rank_s"], cls["rank_s"] + 2)
+    _require_count(cls["index_s"], "classification.index_s", 0, n // 2)
+    kind = (fls.INCONSISTENT if cls["rank_s"] < cls["rank_aug"] else
+            fls.CONSISTENT_UNIQUE if cls["rank_s"] == n else fls.CONSISTENT_INFINITE)
+    if cls["kind"] != kind:
+        raise ProblemFormatError(f"classification.kind must be {kind!r} for these ranks")
+    if doc["method"] is None or doc["method"] not in _METHOD_FLAGS.values():
+        raise ProblemFormatError(f"method must name a solver method, got {doc['method']!r}")
+    if not isinstance(doc["verdicts"], list) or len(doc["verdicts"]) != len(fuzzy_x):
+        raise ProblemFormatError(f"verdicts must be a list of {len(fuzzy_x)} records")
+    verdicts = [_parse_verdict(v, f"verdicts[{i}]") for i, v in enumerate(doc["verdicts"])]
+    if doc["overall"] != ("strong" if all(v.is_valid for v in verdicts) else "weak"):
+        raise ProblemFormatError("overall must be 'strong' if every verdict is valid, else 'weak'")
+    if not isinstance(doc["is_generalized"], bool):
+        raise ProblemFormatError("is_generalized must be true or false")
+    if _require_number(doc["residual"], "residual") < 0:
+        raise ProblemFormatError(f"residual must be nonnegative, got {doc['residual']!r}")
+    tol = _record(doc["tolerances"], "tolerances", TolerancePolicy.__dataclass_fields__)
+    for field, value in tol.items():
+        if not (field == "rank_rel_tol" and value is None):  # None: the shape-dependent cutoff
+            _require_number(value, f"tolerances.{field}")
+    return fls.SolveReport(fls.Classification(**cls), doc["method"], x0, x1, fuzzy_x, verdicts,
+                           doc["residual"], doc["is_generalized"]), _tolerance_policy(tol)
+
+
+def _parse_verdict(rec, name: str) -> Validity:
+    rec = _record(rec, name, ("valid", "violated"))
+    clauses = rec["violated"]
+    if (not isinstance(clauses, list) or any(type(c) is not int for c in clauses)
+            or clauses != sorted(set(clauses) & {1, 2, 3})):
+        raise ProblemFormatError(f"{name}.violated must list clause numbers 1, 2, 3 in order")
+    if rec["valid"] is not (not clauses):
+        raise ProblemFormatError(f"{name}.valid must be {not clauses} as {name}.violated says")
+    return Validity(tuple(clauses))
 
 
 def format_report_text(report: fls.SolveReport, tol: TolerancePolicy) -> str:
@@ -345,13 +350,9 @@ def format_report_text(report: fls.SolveReport, tol: TolerancePolicy) -> str:
         "fuzzy solution (r in [0, 1]):",
     ]
     for i, (fn, verdict) in enumerate(zip(report.fuzzy_x, report.verdicts), start=1):
-        tag = "valid" if verdict.is_valid else (
-            "invalid{" + ",".join(str(c) for c in verdict.violations) + "}"
-        )
-        lines.append(
-            f"  x~{i} = ({format_affine(fn.lower)}, "
-            f"{format_affine(fn.upper)})   {tag}"
-        )
+        clauses = ",".join(map(str, verdict.violations))
+        tag = f"invalid{{{clauses}}}" if clauses else "valid"
+        lines.append(f"  x~{i} = ({format_affine(fn.lower)}, {format_affine(fn.upper)})   {tag}")
     lines += [
         "",
         "crisp solution X(r) = x0 + r*x1:",

@@ -513,13 +513,17 @@ def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     ``||y - U_r U_r^T y|| <= residual_tol * ||y||``, a bound relative to y
     alone.  The SVD is that of :func:`_svd_of`, so a square ``m``, bare or a
     :class:`MatrixPowers`, reads the one its :class:`MatrixPowers` keeps.
-    The zero vector is a member.
+    y is checked against the row count of ``m`` before any SVD is taken, so
+    a y of the wrong length or with a non-finite entry raises at no
+    factorization's cost, and the zero vector is a member without one.
     """
-    u, _, _, r, _ = _svd_of(m, tol)
-    v = as_vector(y, u.shape[0])
+    if not isinstance(m, MatrixPowers):
+        m = as_matrix(m)
+    v = as_vector(y, m.n if isinstance(m, MatrixPowers) else m.shape[0])
     peak = np.abs(v).max()
     if peak == 0.0:
         return True
+    u, _, _, r, _ = _svd_of(m, tol)
     v = v / peak
     b = u[:, :r]
     residual = float(np.linalg.norm(v - b @ (b.T @ v)))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from matgen import graded_index_one
 
-from fuzzylinsys import DEFAULT_TOLERANCES, FlsProblem, TolerancePolicy, fls, ginv, solve
+from fuzzylinsys import (
+    DEFAULT_TOLERANCES,
+    FlsProblem,
+    TolerancePolicy,
+    cli,
+    errors,
+    fls,
+    ginv,
+    solve,
+)
 from fuzzylinsys.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DIMENSION,
@@ -529,6 +539,114 @@ class TestReportRoundTrip:
             assert back.fuzzy_x == report.fuzzy_x
             assert back.verdicts == report.verdicts
             assert back.residual == report.residual
+
+
+def _solved_report_doc():
+    """The JSON document of the solved report of the 2x2 fixture."""
+    tol = TolerancePolicy(rank_rel_tol=1e-10)
+    report = solve(load_problem(str(FIXTURES / "consistent_2x2.json")), tol)
+    return json.loads(json.dumps(report_to_dict(report, tol)))
+
+
+def _set(path, value):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def _delete(path):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return mutate
+
+
+# Documents report_to_dict cannot write, each with the field its error names.
+MALFORMED_REPORTS = {
+    "empty": (lambda doc: doc.clear(), "classification"),
+    "three-number-endpoint": (_set(("fuzzy", 0, "lower"), [1.0, 2.0, 3.0]), "fuzzy[0].lower"),
+    "nan-in-crisp": (_set(("crisp", "x0", 0), math.nan), "crisp.x0"),
+    "short-crisp": (lambda doc: doc["crisp"]["x0"].pop(), "crisp.x0"),
+    "extra-classification-key": (_set(("classification", "note"), 1), "classification"),
+    "verdict-without-valid": (_set(("verdicts",), [{"violated": 7}]), "verdicts"),
+    "tolerance-outside-0-1": (_set(("tolerances", "residual_tol"), 2.0), "residual_tol"),
+    "missing-tolerances": (_delete(("tolerances",)), "tolerances"),
+    "rank-below-zero": (_set(("classification", "rank_s"), -1), "classification.rank_s"),
+    "kind-at-odds-with-ranks": (_set(("classification", "kind"), fls.INCONSISTENT),
+                                "classification.kind"),
+    "unknown-method": (_set(("method",), "Gauss"), "method"),
+    "valid-at-odds-with-violated": (_set(("verdicts", 0, "valid"), False), "verdicts[0].valid"),
+    "overall-at-odds-with-verdicts": (_set(("overall",), "weak"), "overall"),
+    "clause-as-a-float": (_set(("verdicts", 0), {"valid": False, "violated": [1.0]}),
+                          "verdicts[0].violated"),
+    "negative-residual": (_set(("residual",), -1.0), "residual"),
+}
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+    def test_is_a_format_error_naming_the_field(self, case):
+        mutate, field = MALFORMED_REPORTS[case]
+        doc = _solved_report_doc()
+        mutate(doc)
+        with pytest.raises(ProblemFormatError, match=re.escape(field)):
+            report_from_dict(doc)
+
+    def test_leaf_mutations_raise_only_format_errors(self):
+        # every node of a solved report set to each of these, and every node
+        # but the root deleted: the document is read or refused, never crashes
+        values = (None, "x", [], {}, math.nan, -1, True, [1, 2, 3])
+
+        def paths(node, path=()):
+            yield path
+            if isinstance(node, (dict, list)):
+                for key in node if isinstance(node, dict) else range(len(node)):
+                    yield from paths(node[key], path + (key,))
+
+        documents = list(values)  # the root set to each value
+        for path in list(paths(_solved_report_doc()))[1:]:
+            for mutate in [_set(path, v) for v in values] + [_delete(path)]:
+                doc = _solved_report_doc()
+                mutate(doc)
+                documents.append(doc)
+        escaped = []
+        for doc in documents:
+            try:
+                report_from_dict(doc)
+            except ProblemFormatError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the test is that none escapes
+                escaped.append(repr(exc))
+        assert escaped == []
+
+
+# The exit code the cli module docstring gives each of the package's errors.
+DOCUMENTED_EXIT_CODES = {
+    "ProblemFormatError": EXIT_PARSE,
+    "DimensionMismatchError": EXIT_DIMENSION,
+    "NumericalFailureError": EXIT_NUMERICAL,
+    "IndexTooLargeError": EXIT_NUMERICAL,
+}
+
+
+def test_every_error_type_has_an_exit_code():
+    subclasses = {name for name in errors.__all__ if name != "FuzzyLinSysError"}
+    assert set(DOCUMENTED_EXIT_CODES) == subclasses
+    assert {kind.__name__: code for kind, code in cli._EXIT_CODES.items()} == DOCUMENTED_EXIT_CODES
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED_EXIT_CODES))
+def test_handler_error_maps_to_its_exit_code(capsys, monkeypatch, name):
+    def handler(args):
+        raise getattr(errors, name)("handler failed")
+
+    monkeypatch.setattr(cli, "cmd_solve", handler)
+    code, out, err = run_cli(capsys, "solve", str(FIXTURES / "consistent_2x2.json"))
+    assert code == DOCUMENTED_EXIT_CODES[name]
+    assert out == "" and err == "error: handler failed\n"
 
 
 def test_format_affine():

@@ -704,6 +704,20 @@ class TestInColumnSpace:
             assert not in_column_space(given, [1.0, 0.0, 0.0, 0.0])
             assert svd_shapes == []
 
+    def test_checks_y_before_any_svd(self, svd_shapes, monkeypatch):
+        # a zero y is a member, a y of the wrong length or with a NaN is an
+        # error, and none of the three needs a factorization of m
+        monkeypatch.setattr(ginv, "_last_powers", None)
+        rng = np.random.default_rng(25)
+        square = rng.standard_normal((64, 64))
+        for m in (square, MatrixPowers(square), rng.standard_normal((64, 48))):
+            assert in_column_space(m, np.zeros(64))
+            with pytest.raises(DimensionMismatchError):
+                in_column_space(m, np.ones(63))
+            with pytest.raises(ValueError, match="finite"):
+                in_column_space(m, np.r_[np.ones(63), np.nan])
+        assert svd_shapes == []
+
     def test_qr_route_takes_over_when_gesdd_fails(self, monkeypatch):
         monkeypatch.setattr(ginv, "_last_powers", None)
         rng = np.random.default_rng(24)

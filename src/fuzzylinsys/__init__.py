@@ -22,6 +22,7 @@ from .fls import (
     build_associated,
     classify,
     core_ep_from_blocks,
+    fuzzy_solution,
     solve,
     verify_solution,
 )

@@ -25,7 +25,7 @@ from .errors import (
     NumericalFailureError,
     ProblemFormatError,
 )
-from .fuzzy import AffineFn, FuzzyNumber, Validity
+from .fuzzy import AffineFn, FuzzyNumber
 from .ginv import TolerancePolicy
 
 EXIT_OK = 0
@@ -170,7 +170,7 @@ def load_problem(path: str) -> fls.FlsProblem:
     if missing:
         raise ProblemFormatError(f"problem document lacks field(s): {', '.join(sorted(missing))}")
     return fls.FlsProblem(a=_parse_matrix_rows(doc["a"], "a"),
-                          y=_parse_fuzzy_records(doc["y"], "y"))
+                          y=_parse_fuzzy_records(doc["y"]))
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -203,10 +203,10 @@ def _parse_matrix_rows(rows, name: str) -> np.ndarray:
     return np.array([_numbers(r, f"{name}[{i}]", len(rows[0]), ragged) for i, r in enumerate(rows)])
 
 
-def _parse_fuzzy_records(recs, name: str) -> list[FuzzyNumber]:
+def _parse_fuzzy_records(recs) -> list[FuzzyNumber]:
     if not isinstance(recs, list) or not recs:
-        raise ProblemFormatError(f"field {name!r} must be a nonempty list of fuzzy-number records")
-    return [_parse_fuzzy_record(rec, f"{name}[{i}]") for i, rec in enumerate(recs)]
+        raise ProblemFormatError("field 'y' must be a nonempty list of fuzzy-number records")
+    return [_parse_fuzzy_record(rec, f"y[{i}]") for i, rec in enumerate(recs)]
 
 
 def _parse_fuzzy_record(rec, name: str) -> FuzzyNumber:
@@ -283,58 +283,69 @@ def report_to_dict(report: fls.SolveReport, tol: TolerancePolicy) -> dict:
 def report_from_dict(doc: dict) -> tuple[fls.SolveReport, TolerancePolicy]:
     """Inverse of :func:`report_to_dict`.
 
-    Numbers and fuzzy records are read by the parsers of
-    :func:`load_problem`.  A document that :func:`report_to_dict` could not
-    have written raises :class:`~fuzzylinsys.errors.ProblemFormatError`
-    naming the field: a missing or unknown field, a value of the wrong type,
-    a non-finite number, vectors whose lengths disagree, a method or
-    classification kind the solver does not report, a rank or index out of
-    range, or a ``valid``, ``overall`` or ``kind`` at odds with what it is
-    derived from.
+    Only the fields that a report does not derive are read: the ranks and
+    index of ``classification``, ``method``, ``crisp``, ``is_generalized``,
+    ``residual`` and ``tolerances``, numbers by the parsers of
+    :func:`load_problem`; n is half the length of ``crisp.x0``.
+    ``classification.kind``, ``fuzzy``, ``verdicts`` and ``overall`` are
+    rebuilt from them by the package's own functions
+    (:meth:`fls.Classification.of`, :func:`fls.fuzzy_solution`), so a
+    report states one solution.  A document that :func:`report_to_dict`
+    could not have written raises
+    :class:`~fuzzylinsys.errors.ProblemFormatError` naming the field: a
+    missing or unknown field, a value of the wrong type, a non-finite number,
+    vectors whose lengths disagree, a method the solver does not report, a
+    rank or index out of range, or each field that differs from what
+    :func:`report_to_dict` writes for the rebuilt report, under a
+    type-strict comparison (``true`` is not ``1``; JSON keeps every bit of a
+    float, so floats compare exactly).
     """
     doc = _record(doc, "report", ("classification", "method", "crisp", "fuzzy", "verdicts",
                                   "overall", "is_generalized", "residual", "tolerances"))
-    fuzzy_x = _parse_fuzzy_records(doc["fuzzy"], "fuzzy")
-    n = 2 * len(fuzzy_x)  # the order of S
     crisp = _record(doc["crisp"], "crisp", ("x0", "x1"))
-    x0, x1 = (np.array(_numbers(crisp[key], f"crisp.{key}", n, f"a list of {n} numbers"))
+    x = crisp["x0"]
+    order = len(x) if isinstance(x, list) and x and len(x) % 2 == 0 else -1  # 2n; -1 is refused
+    x0, x1 = (np.array(_numbers(crisp[key], f"crisp.{key}", order,
+                                "a list of 2n numbers, n >= 1, x0 and x1 of one length"))
               for key in ("x0", "x1"))
     cls = _record(doc["classification"], "classification", fls.Classification.__dataclass_fields__)
-    _require_count(cls["rank_s"], "classification.rank_s", 0, n)
+    _require_count(cls["rank_s"], "classification.rank_s", 0, order)
     _require_count(cls["rank_aug"], "classification.rank_aug", cls["rank_s"], cls["rank_s"] + 2)
-    _require_count(cls["index_s"], "classification.index_s", 0, n // 2)
-    kind = (fls.INCONSISTENT if cls["rank_s"] < cls["rank_aug"] else
-            fls.CONSISTENT_UNIQUE if cls["rank_s"] == n else fls.CONSISTENT_INFINITE)
-    if cls["kind"] != kind:
-        raise ProblemFormatError(f"classification.kind must be {kind!r} for these ranks")
+    _require_count(cls["index_s"], "classification.index_s", 0, order // 2)
     if doc["method"] is None or doc["method"] not in _METHOD_FLAGS.values():
         raise ProblemFormatError(f"method must name a solver method, got {doc['method']!r}")
-    if not isinstance(doc["verdicts"], list) or len(doc["verdicts"]) != len(fuzzy_x):
-        raise ProblemFormatError(f"verdicts must be a list of {len(fuzzy_x)} records")
-    verdicts = [_parse_verdict(v, f"verdicts[{i}]") for i, v in enumerate(doc["verdicts"])]
-    if doc["overall"] != ("strong" if all(v.is_valid for v in verdicts) else "weak"):
-        raise ProblemFormatError("overall must be 'strong' if every verdict is valid, else 'weak'")
-    if not isinstance(doc["is_generalized"], bool):
-        raise ProblemFormatError("is_generalized must be true or false")
     if _require_number(doc["residual"], "residual") < 0:
         raise ProblemFormatError(f"residual must be nonnegative, got {doc['residual']!r}")
     tol = _record(doc["tolerances"], "tolerances", TolerancePolicy.__dataclass_fields__)
     for field, value in tol.items():
         if not (field == "rank_rel_tol" and value is None):  # None: the shape-dependent cutoff
             _require_number(value, f"tolerances.{field}")
-    return fls.SolveReport(fls.Classification(**cls), doc["method"], x0, x1, fuzzy_x, verdicts,
-                           doc["residual"], doc["is_generalized"]), _tolerance_policy(tol)
+    tol = _tolerance_policy(tol)
+    report = fls.SolveReport(
+        fls.Classification.of(cls["rank_s"], cls["rank_aug"], cls["index_s"], order),
+        doc["method"], x0, x1, *fls.fuzzy_solution(x0, x1, tol), doc["residual"],
+        bool(doc["is_generalized"]))  # a non-boolean differs from the bool it becomes
+    differ = list(_differences(doc, report_to_dict(report, tol)))
+    if differ:
+        raise ProblemFormatError(f"report field(s) {', '.join(differ)} differ from what its "
+                                 "crisp solution, ranks and tolerances give")
+    return report, tol
 
 
-def _parse_verdict(rec, name: str) -> Validity:
-    rec = _record(rec, name, ("valid", "violated"))
-    clauses = rec["violated"]
-    if (not isinstance(clauses, list) or any(type(c) is not int for c in clauses)
-            or clauses != sorted(set(clauses) & {1, 2, 3})):
-        raise ProblemFormatError(f"{name}.violated must list clause numbers 1, 2, 3 in order")
-    if rec["valid"] is not (not clauses):
-        raise ProblemFormatError(f"{name}.valid must be {not clauses} as {name}.violated says")
-    return Validity(tuple(clauses))
+def _differences(got, want, name=""):
+    """The path of each field of the document ``got`` that is not as in
+    ``want``, such as ``fuzzy[0].lower``: a list of another length or an
+    object with other fields is named whole, and other values must have the
+    same ``repr``, which tells the JSON types apart (``True``, ``1``,
+    ``1.0``) and every bit of a float."""
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        for key in want:
+            yield from _differences(got[key], want[key], f"{name}.{key}" if name else key)
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from _differences(g, w, f"{name}[{i}]")
+    elif repr(got) != repr(want):
+        yield name
 
 
 def format_report_text(report: fls.SolveReport, tol: TolerancePolicy) -> str:

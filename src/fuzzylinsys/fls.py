@@ -60,6 +60,7 @@ __all__ = [
     "build_associated",
     "classify",
     "core_ep_from_blocks",
+    "fuzzy_solution",
     "solve",
     "verify_solution",
 ]
@@ -148,6 +149,15 @@ class Classification:
     rank_s: int
     rank_aug: int
     index_s: int
+
+    @classmethod
+    def of(cls, rank_s: int, rank_aug: int, index_s: int, order: int) -> "Classification":
+        """The classification these ranks give a system whose S is
+        ``order x order``: inconsistent when y adds rank to S, else unique
+        when S has full rank."""
+        kind = (INCONSISTENT if rank_s < rank_aug else
+                CONSISTENT_UNIQUE if rank_s == order else CONSISTENT_INFINITE)
+        return cls(kind, rank_s, rank_aug, index_s)
 
 
 @dataclass
@@ -259,7 +269,9 @@ def solve(
     residual exceeds the backward-error bound of
     :class:`~fuzzylinsys.ginv.TolerancePolicy` raises
     :class:`~fuzzylinsys.errors.NumericalFailureError`; so does one lost to
-    underflow, such as ``x = 0`` for a nonzero y, whose residual is y itself.
+    underflow, such as ``x = 0`` for a nonzero y, whose residual is y itself,
+    with a message that says the solution underflows.  The crisp solution is
+    read back as a fuzzy one, with its verdicts, by :func:`fuzzy_solution`.
     """
     sys = build_associated(problem)
     cls, outside, member = _analyse(sys, tol)
@@ -273,7 +285,7 @@ def solve(
     if method == METHOD_INVERSE and k != 0:
         raise IndexTooLargeError(f"direct inversion requires matrix index 0, got {k}")
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the butterfly
         x = _butterfly(np.concatenate(
             [h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, (w[:n], w[n:]))]))
     if not np.all(np.isfinite(x)):
@@ -281,14 +293,14 @@ def solve(
     x0, x1 = x.T.copy()
 
     residual, beyond = _residual(sys, x, None if member else outside, tol)
+    if beyond and np.abs(x).max() < _TINY:  # x was lost to underflow, not misjudged
+        raise NumericalFailureError("exact route: the solution underflows the floating-point "
+                                    f"range (residual {residual:.3e})")
     if beyond:
-        raise NumericalFailureError(
-            f"exact route left residual {residual:.3e}; membership test and "
-            "solution disagree under the tolerance policy"
-        )
+        raise NumericalFailureError(f"exact route left residual {residual:.3e}; membership test "
+                                    "and solution disagree under the tolerance policy")
 
-    fuzzy_x = _to_fuzzy(x0, x1, sys.n)
-    verdicts = [validity(fn, tol.equality_tol) for fn in fuzzy_x]
+    fuzzy_x, verdicts = fuzzy_solution(x0, x1, tol)
     return SolveReport(
         classification=cls,
         method=method,
@@ -299,6 +311,29 @@ def solve(
         residual=residual,
         is_generalized=not member,
     )
+
+
+def fuzzy_solution(x0, x1, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> tuple[list, list]:
+    """``(fuzzy_x, verdicts)``: the crisp solution ``X(r) = x0 + r*x1`` of the
+    embedded system read back as a fuzzy vector, and the verdict of
+    :func:`~fuzzylinsys.fuzzy.validity` on each component.
+
+    Component i takes its lower endpoint from row i and its upper endpoint
+    from row ``n + i`` negated; ``0.0 - x`` negates all but a zero, which
+    stays +0.  Each clause is judged with the slack
+    ``equality_tol * max|x|``, the largest entry of both columns (0 for
+    ``x = 0``), so a verdict does not move when x is scaled by a power of
+    two, as scaling A or y by one does.  :func:`solve` and the report codec
+    (``cli.report_from_dict``) both call this, so a report states one
+    solution.  x0 and x1 must have one even length 2n and finite entries,
+    or a ``ValueError`` is raised.
+    """
+    x0, x1 = np.asarray(x0, dtype=float).tolist(), np.asarray(x1, dtype=float).tolist()
+    n = len(x0) // 2
+    slack = tol.equality_tol * max(map(abs, x0 + x1), default=0.0)
+    fuzzy_x = [FuzzyNumber(AffineFn(l0, l1), AffineFn(0.0 - u0, 0.0 - u1))  # strict: 2n rows each
+               for l0, l1, u0, u1 in zip(x0[:n], x1[:n], x0[n:], x1[n:], strict=True)]
+    return fuzzy_x, [validity(fn, slack) for fn in fuzzy_x]
 
 
 def verify_solution(
@@ -340,17 +375,11 @@ def _analyse(sys: AssociatedSystem, tol: TolerancePolicy) -> _Analysis:
     index_s = max(len(ranks) - 2 for ranks, _ in ranges)
     outside = _outside([b[1] for _, b in ranges], sys)
     excess = _residual_rank(outside, sys, tol)
-    rank_aug = rank_s + excess
-    if rank_s < rank_aug:
-        kind = INCONSISTENT
-    elif rank_s == 2 * sys.n:
-        kind = CONSISTENT_UNIQUE
-    else:
-        kind = CONSISTENT_INFINITE
+    cls = Classification.of(rank_s, rank_s + excess, index_s, 2 * sys.n)
     if index_s > 1:
         outside = _outside([b[-2] for _, b in ranges], sys)
         excess = _residual_rank(outside, sys, tol)
-    return _Analysis(Classification(kind, rank_s, rank_aug, index_s), outside, excess == 0)
+    return _Analysis(cls, outside, excess == 0)
 
 
 def _butterfly(v: np.ndarray) -> np.ndarray:
@@ -441,16 +470,3 @@ def _residual(sys: AssociatedSystem, x: np.ndarray, outside, tol: TolerancePolic
     with np.errstate(over="ignore"):
         top = max(np.abs(g[:, 0]).max(), np.abs(g[:, 0] + g[:, 1]).max())
         return float(np.ldexp(top, e.max())), beyond
-
-
-def _to_fuzzy(x0: np.ndarray, x1: np.ndarray, n: int) -> list[FuzzyNumber]:
-    # Rows n..2n of the crisp solution carry the negated upper endpoints;
-    # 0.0 - x negates all but a zero, which stays +0.
-    return [
-        FuzzyNumber(
-            lower=AffineFn(float(x0[i]), float(x1[i])),
-            upper=AffineFn(float(0.0 - x0[n + i]), float(0.0 - x1[n + i])),
-        )
-        for i in range(n)
-    ]
-

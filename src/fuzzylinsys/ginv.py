@@ -71,7 +71,10 @@ class TolerancePolicy:
     too, each column taken at the power of two of the larger of
     ``||S|| max|x_i|`` and the largest entry of ``y_i``; a zero ``x_i``
     counts for nothing there, so an x lost to underflow fails the bound.
-    ``equality_tol`` bounds matrix-equality comparisons.
+    ``equality_tol`` bounds matrix-equality comparisons, and it scales the
+    slack of the validity verdicts, ``equality_tol * max|x|`` over the crisp
+    solution (:func:`fuzzylinsys.fls.fuzzy_solution`), so that a verdict is
+    relative to x.
     """
 
     rank_rel_tol: float | None = None
@@ -274,7 +277,9 @@ class MatrixPowers:
         and is solved as it is, with w scaled by the same power of two: the
         same x, so normal-range results have the bits of the solve on m.  The
         core's smallest singular value cleared the staircase's floor, so
-        LAPACK never takes the reciprocal of a subnormal pivot."""
+        LAPACK never takes the reciprocal of a subnormal pivot.  Entries
+        beyond the float range come back as inf or NaN, without a warning:
+        the caller names what overflowed, the solution or the inverse."""
         _, bases, core, _, _ = self._steps(tol)
         b = bases[-2]
         full = b.shape[1] == self.n
@@ -284,7 +289,7 @@ class MatrixPowers:
                 x = np.linalg.solve(core, w) if full else b @ np.linalg.solve(core, b.T @ w)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"linear solve failed: {exc}") from exc
-        return _finite(x, "core-EP inverse")
+        return x
 
     def norm_bound(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> float:
         """``sigma_max(unit)`` as :meth:`ranges` found it: from its first SVD,
@@ -295,7 +300,8 @@ class MatrixPowers:
 
     def _inverse(self, tol: TolerancePolicy) -> np.ndarray:
         """``m^ce``, computed on first use per tolerance policy and kept
-        read-only; callers return copies of it."""
+        read-only; callers check that it is finite and return copies of
+        it."""
         x = self._inverses.get(tol)
         if x is None:
             x = self.core_ep_apply(np.eye(self.n), tol)
@@ -420,9 +426,9 @@ def core_ep_via_decomposition(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> n
     (:meth:`MatrixPowers.core_ep_apply`) without assembling ``u``.  ``m`` is
     a square matrix or a :class:`MatrixPowers`; the inverse is computed once
     per matrix and policy and kept there, and each call returns a new copy
-    of it.
+    of it, or raises :class:`NumericalFailureError` if it overflows.
     """
-    return _as_powers(m)._inverse(tol).copy()
+    return _finite(_as_powers(m)._inverse(tol).copy(), "core-EP inverse")
 
 
 def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -484,7 +490,9 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     backward-stable X passes however ill-conditioned the core, a wrong one
     does not, and scaling A moves neither side; so both are taken at unit
     scale, on the :class:`MatrixPowers`'s ``unit`` and its core-EP inverse
-    ``2**exponent X``, and no norm overflows.
+    ``2**exponent X``, and no norm overflows.  An X with an entry beyond
+    the float range raises a :class:`NumericalFailureError` that says it
+    overflows.
     """
     powers = _as_powers(m)
     k = matrix_index(powers, tol)
@@ -492,6 +500,8 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
         raise IndexTooLargeError(f"core inverse requires matrix index <= 1, got {k}")
     a = powers.unit
     x = powers._inverse(tol).copy()
+    if np.isinf(x).any():  # a NaN entry fails the defining equation below
+        raise NumericalFailureError("core inverse overflows the floating-point range")
     x_unit = np.ldexp(x, powers.exponent)  # the core-EP inverse of a
     residual = np.linalg.norm(a @ x_unit @ a - a)
     norm = powers._norm

@@ -583,6 +583,11 @@ MALFORMED_REPORTS = {
     "clause-as-a-float": (_set(("verdicts", 0), {"valid": False, "violated": [1.0]}),
                           "verdicts[0].violated"),
     "negative-residual": (_set(("residual",), -1.0), "residual"),
+    "changed-crisp-number": (_set(("crisp", "x0", 0), -0.5), "fuzzy[0].lower"),
+    "changed-fuzzy-number": (_set(("fuzzy", 1, "upper", 0), 1.25), "fuzzy[1].upper"),
+    "flipped-verdict": (lambda doc: doc.update(
+        verdicts=[doc["verdicts"][0], {"valid": False, "violated": [3]}], overall="weak"),
+        "verdicts[1].valid"),
 }
 
 
@@ -596,24 +601,9 @@ class TestMalformedReport:
             report_from_dict(doc)
 
     def test_leaf_mutations_raise_only_format_errors(self):
-        # every node of a solved report set to each of these, and every node
-        # but the root deleted: the document is read or refused, never crashes
-        values = (None, "x", [], {}, math.nan, -1, True, [1, 2, 3])
-
-        def paths(node, path=()):
-            yield path
-            if isinstance(node, (dict, list)):
-                for key in node if isinstance(node, dict) else range(len(node)):
-                    yield from paths(node[key], path + (key,))
-
-        documents = list(values)  # the root set to each value
-        for path in list(paths(_solved_report_doc()))[1:]:
-            for mutate in [_set(path, v) for v in values] + [_delete(path)]:
-                doc = _solved_report_doc()
-                mutate(doc)
-                documents.append(doc)
+        # the document is read or refused, never crashes
         escaped = []
-        for doc in documents:
+        for _, doc in _leaf_mutations():
             try:
                 report_from_dict(doc)
             except ProblemFormatError:
@@ -621,6 +611,39 @@ class TestMalformedReport:
             except Exception as exc:  # noqa: BLE001 - the test is that none escapes
                 escaped.append(repr(exc))
         assert escaped == []
+
+    def test_leaf_mutations_read_change_only_independent_fields(self):
+        # whether the solution is generalized and the rank cutoff do not
+        # follow from the rest of the report; every other change is refused
+        original = json.dumps(_solved_report_doc())
+        changed = set()
+        for path, doc in _leaf_mutations():
+            try:
+                report_from_dict(doc)
+            except ProblemFormatError:
+                continue
+            if json.dumps(doc) != original:
+                changed.add(path)
+        assert changed == {("is_generalized",), ("tolerances", "rank_rel_tol")}
+
+
+def _leaf_mutations():
+    """``(path, document)`` for every node of the solved report set to each
+    of a few values, and every node but the root deleted: 422 documents."""
+    values = (None, "x", [], {}, math.nan, -1, True, [1, 2, 3])
+
+    def paths(node, path=()):
+        yield path
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                yield from paths(node[key], path + (key,))
+
+    yield from (((), v) for v in values)  # the root set to each value
+    for path in list(paths(_solved_report_doc()))[1:]:
+        for mutate in [_set(path, v) for v in values] + [_delete(path)]:
+            doc = _solved_report_doc()
+            mutate(doc)
+            yield path, doc
 
 
 # The exit code the cli module docstring gives each of the package's errors.

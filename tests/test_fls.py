@@ -575,11 +575,9 @@ class TestReportInvariants:
             assert verify_solution(build_associated(problem), report) == report.residual
         assert np.isfinite(report.residual)
 
-    @pytest.mark.xfail(strict=True, reason="validity verdicts use the absolute slack "
-                       "equality_tol, so they change with the scale of y")
     def test_verdicts_do_not_depend_on_the_scale_of_y(self):
-        # clause 1 fails for y1 at c = 1, 2^40 and 2^300, and both verdicts
-        # read valid at c = 2^-40 and 2^-300
+        # clause 1 fails for y1 at every c; with an absolute slack both
+        # verdicts once read valid at c = 2^-40 and 2^-300
         for p in (0, 40, 300, -40, -300):
             c = 2.0 ** p
             report = solve(FlsProblem(a=np.eye(2), y=[fz(0, -c, c, 0), fz(0, 0, c, 0)]))
@@ -600,8 +598,8 @@ def test_scale_and_permutation_invariance(method, p, scale_y):
     # A * 2^p solves to x * 2^-p, y * 2^p to x * 2^p bit for bit (and its
     # residual to the residual times 2^p), and P A P^T with y permuted to P x,
     # with the same decisions and no warning: roundoff scales exactly by a
-    # power of two and LAPACK's pivoting follows the rows.
-    # Verdicts are not compared: the validity slack is absolute.
+    # power of two and LAPACK's pivoting follows the rows.  Under either
+    # scale the verdicts stay: their slack is relative to max|x|.
     rng = np.random.default_rng(59)
     for a, _, _ in index_matrix_suite():
         n = a.shape[0]
@@ -627,6 +625,8 @@ def test_scale_and_permutation_invariance(method, p, scale_y):
             base.classification, base.method, base.is_generalized)
         if scale_y:
             assert report.residual == math.ldexp(base.residual, p)
+        if p is not None:
+            assert report.verdicts == base.verdicts
         for got, x in ((report.crisp_x0, base.crisp_x0), (report.crisp_x1, base.crisp_x1)):
             if scale_y:
                 np.testing.assert_array_equal(got, np.ldexp(x, p))
@@ -676,26 +676,31 @@ class TestExactRouteCheck:
             with pytest.raises(NumericalFailureError, match="exact route"):
                 solve(problem)
 
-    @pytest.mark.parametrize("pa, py", [(600, -600), (1000, -600), (1000, -1000), (60, -1060)])
+    @pytest.mark.parametrize("pa, py", [(600, -600), (1000, -600), (1000, -1000), (60, -1060),
+                                        (1020, -60)])
     def test_solution_lost_to_underflow_raises(self, pa, py):
         # x = y / A lies below the float range and comes out 0, so S x - y is
         # y itself, far beyond any backward error; a zero column of x once
         # counted as size 1 in the check's scale, which flushed y to zero
-        # there, and the report read ConsistentUnique with x = 0
+        # there, and the report read ConsistentUnique with x = 0.  The
+        # message once blamed a disagreement of the membership test.
         y = math.ldexp(1.0, py)
         problem = FlsProblem(a=np.array([[-math.ldexp(1.0, pa)]]), y=[fz(y, 0, 3 * y, 0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalFailureError, match="exact route"):
+            with pytest.raises(NumericalFailureError,
+                               match="exact route: the solution underflows"):
                 solve(problem)
 
 
 @pytest.mark.parametrize("a, lower, upper, message", [
     ([[1e-310, 2e-310], [1e-310, 3e-310]], (1.0, 1.0), (3.0, -1.0),
-     "core-EP inverse overflows"),  # x about 1e310
+     "the solution overflows"),  # x about 1e310
     ([[0.75]], (1.5e308, 0.0), (0.0, 0.0),
      "the solution overflows"),  # each half's solve finite, their sum 2e308
-], ids=["inverse", "sum-of-halves"])
+    ([[2.0 ** -60]], (2.0 ** 1000, 0.0), (2.0 ** 1001, 0.0),
+     "the solution overflows"),  # the inverse 1.15e18 is finite, x about 2^1060
+], ids=["inverse", "sum-of-halves", "finite-inverse"])
 def test_overflowing_solution_raises(a, lower, upper, message):
     problem = FlsProblem(a=np.array(a), y=[fz(*lower, *upper)] * len(a))
     with pytest.raises(NumericalFailureError, match=message):

@@ -2,8 +2,10 @@
 module imports a name it never uses, every name an ``__all__`` lists exists,
 no module reads another package module's private names, no private
 top-level name goes unused, every function reads each of its parameters,
-every import is relative or of numpy or the standard library, and every
-cross-reference in a docstring names something that exists."""
+every import is relative or of numpy or the standard library, every
+cross-reference in a docstring names something that exists, and every
+numerical failure opens its message with a cause from the command-line
+contract test's fixed list."""
 
 import ast
 import re
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli_contract import FAILURE_CAUSES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzylinsys"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -226,3 +229,66 @@ def test_every_docstring_reference_resolves():
                     stale.append(f"{stem}: {reference}")
     assert references > 0
     assert stale == []
+
+
+# The errors that exit 4; each message opens with its cause.
+_FAILURES = ("NumericalFailureError", "IndexTooLargeError")
+
+
+def _openings(message, func, calls):
+    """The literal text that a message can open with: the leading literal
+    parts of a string or an f-string, where a leading ``{parameter}`` of the
+    enclosing function ``func`` is replaced by the string each call of
+    ``func`` passes for it, or by ``"<parameter>"`` where a call passes
+    something else."""
+    parts = list(message.values) if isinstance(message, ast.JoinedStr) else [message]
+    params = [a.arg for a in func.args.args] if func else []
+    param = None
+    if isinstance(parts[0], ast.FormattedValue) and getattr(parts[0].value, "id", None) in params:
+        param = parts.pop(0).value.id
+    text = ""
+    for part in parts:
+        if not (isinstance(part, ast.Constant) and isinstance(part.value, str)):
+            break
+        text += part.value
+    if param is None:
+        yield text
+        return
+    index = params.index(param) - (params[0] == "self")  # a call passes self before the list
+    for call in calls.get(func.name, [None]):
+        passed = ([k.value for k in call.keywords if k.arg == param]
+                  or call.args[index:index + 1]) if call else []
+        value = passed[0].value if passed and isinstance(passed[0], ast.Constant) else None
+        yield (value if isinstance(value, str) else f"<{param}>") + text
+
+
+def _failure_messages():
+    """``(module, line, opening)`` for each message of a failure that the
+    package raises."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    for stem, tree in trees.items():
+        enclosing = {}  # ast.walk reaches an outer function first; an inner one overwrites it
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                enclosing.update((id(node), func) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) in _FAILURES:
+                message = exc.args[0] if exc.args else ast.Constant("")
+                for opening in _openings(message, enclosing.get(id(node)), calls):
+                    yield stem, node.lineno, opening
+
+
+def test_every_failure_names_a_listed_cause():
+    messages = list(_failure_messages())
+    unlisted = [f"{stem}:{line}: {opening!r}" for stem, line, opening in messages
+                if not opening.startswith(FAILURE_CAUSES)]
+    assert unlisted == []
+    # and the list names no cause that the package no longer raises
+    assert [c for c in FAILURE_CAUSES if not any(m[2].startswith(c) for m in messages)] == []

@@ -12,7 +12,7 @@ def as_matrix(m) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a nonempty 2-D matrix, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -28,6 +28,6 @@ def as_vector(y, length=None) -> np.ndarray:
     v = np.asarray(y, dtype=float).reshape(-1)
     if length is not None and v.size != length:
         raise DimensionMismatchError(f"expected a vector of length {length}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v

@@ -45,10 +45,6 @@ _METHOD_FLAGS = {
     "method2-ii": fls.METHOD_2II,
 }
 
-# The flag that sets each field of the tolerance policy.
-_TOLERANCE_FLAGS = {"rank_rel_tol": "rank_tol", "residual_tol": "residual_tol",
-                    "equality_tol": "eq_tol"}
-
 _INVERSE_KINDS = {
     "core-ep": ginv.core_ep_via_decomposition,
     "core": ginv.core_inverse,
@@ -98,10 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a fuzzy linear system from a problem file")
     p_solve.add_argument("input", help="path to a JSON problem file")
     p_solve.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="auto")
-    p_solve.add_argument("--rank-tol", type=float, default=None,
+    # each tolerance flag stores into the TolerancePolicy field it sets
+    p_solve.add_argument("--rank-tol", dest="rank_rel_tol", type=float, default=None,
                          help="relative singular-value cutoff (default: shape-dependent)")
-    p_solve.add_argument("--residual-tol", type=float, default=None)
-    p_solve.add_argument("--eq-tol", type=float, default=None)
+    p_solve.add_argument("--residual-tol", dest="residual_tol", type=float, default=None)
+    p_solve.add_argument("--eq-tol", dest="equality_tol", type=float, default=None)
     p_solve.add_argument("--format", choices=("text", "json"), default="text")
     p_solve.add_argument("--output", default=None, help="write the report here instead of stdout")
     p_solve.set_defaults(handler=cmd_solve)
@@ -119,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.input)
-    tol = _tolerances_from_flags(args)
+    tol = _tolerance_policy({key: value for key, value in vars(args).items()
+                             if key in TolerancePolicy.__dataclass_fields__ and value is not None})
     report = fls.solve(problem, tol, method=_METHOD_FLAGS[args.method])
     if args.format == "json":
         try:  # RFC 8259 has no Infinity or NaN
@@ -247,11 +245,6 @@ def _require_number(v, name: str):
 def _require_count(v, name: str, low: int, high: int):
     if type(v) is not int or not low <= v <= high:
         raise ProblemFormatError(f"{name} must be an integer in {low}..{high}, got {v!r}")
-
-
-def _tolerances_from_flags(args) -> TolerancePolicy:
-    return _tolerance_policy({field: getattr(args, flag) for field, flag in _TOLERANCE_FLAGS.items()
-                              if getattr(args, flag) is not None})
 
 
 def _tolerance_policy(fields: dict) -> TolerancePolicy:

@@ -223,12 +223,17 @@ def core_ep_from_blocks(d, e, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.n
     half-block's own staircase (:func:`ginv.core_ep_via_decomposition`),
     the route :func:`solve` applies, so it holds for ill-conditioned
     non-normal halves too; the power formula is only the tests' reference.
+    The staircases run on ``d/2 + e/2`` and ``d/2 - e/2``, which no finite
+    blocks overflow, and their inverses are halved, since
+    ``(m / 2)^ce = 2 m^ce``; scaling by a power of two is exact where no
+    entry is subnormal.
     """
     d = as_square(d)
     e = as_square(e)
     if d.shape != e.shape:
         raise DimensionMismatchError(f"block shapes differ: {d.shape} vs {e.shape}")
-    p, q = (ginv.core_ep_via_decomposition(ginv.MatrixPowers(m), tol) for m in (d + e, d - e))
+    p, q = (0.5 * ginv.core_ep_via_decomposition(ginv.MatrixPowers(m), tol)
+            for m in (0.5 * d + 0.5 * e, 0.5 * d - 0.5 * e))
     h = 0.5 * (p + q)
     z = 0.5 * (p - q)
     return np.block([[h, z], [z, h]])
@@ -288,7 +293,7 @@ def solve(
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the butterfly
         x = _butterfly(np.concatenate(
             [h.core_ep_apply(wi, tol) for h, wi in zip(sys.halves, (w[:n], w[n:]))]))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalFailureError("the solution overflows the floating-point range")
     x0, x1 = x.T.copy()
 

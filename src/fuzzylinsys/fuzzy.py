@@ -38,9 +38,6 @@ class AffineFn:
     def __add__(self, other: "AffineFn") -> "AffineFn":
         return AffineFn(self.c0 + other.c0, self.c1 + other.c1)
 
-    def __neg__(self) -> "AffineFn":
-        return AffineFn(-self.c0, -self.c1)
-
     def scaled(self, lam: float) -> "AffineFn":
         return AffineFn(lam * self.c0, lam * self.c1)
 

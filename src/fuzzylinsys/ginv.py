@@ -252,7 +252,11 @@ class MatrixPowers:
         :func:`moore_penrose`.  The certificate needs
         ``sigma_min(C) / ||C||_F`` above about ``sqrt(3 (r + 2) eps)`` (3e-7 at
         r = 128, a condition of about 1e6); a core between that and 10 times
-        the floor pays an SVD although its rank holds.  The last step's core,
+        the floor pays an SVD although its rank holds.  A core of order r
+        whose largest entry is at most ``10 floor / r`` cannot be certified,
+        and :func:`_clears` says so before it forms anything, so no bound it
+        forms overflows and no finite m makes a step warn, however subnormal
+        its cores.  The last step's core,
         ``B^T m B`` at the index, is kept for :meth:`core_ep_apply`, and at
         each drop the dropped left singular vectors with the basis they are
         expressed in, which :func:`core_ep_decompose` reads.  Always
@@ -490,9 +494,11 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     backward-stable X passes however ill-conditioned the core, a wrong one
     does not, and scaling A moves neither side; so both are taken at unit
     scale, on the :class:`MatrixPowers`'s ``unit`` and its core-EP inverse
-    ``2**exponent X``, and no norm overflows.  An X with an entry beyond
-    the float range raises a :class:`NumericalFailureError` that says it
-    overflows.
+    ``2**exponent X``, and no norm of A overflows.  An X with an entry
+    beyond the float range raises a :class:`NumericalFailureError` that says
+    it overflows.  Under a fine ``rank_rel_tol`` the check itself can
+    overflow; it is formed without a warning, and a NaN residual, or one
+    that overflows under a finite bound, fails it.
     """
     powers = _as_powers(m)
     k = matrix_index(powers, tol)
@@ -502,12 +508,14 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     x = powers._inverse(tol).copy()
     if np.isinf(x).any():  # a NaN entry fails the defining equation below
         raise NumericalFailureError("core inverse overflows the floating-point range")
-    x_unit = np.ldexp(x, powers.exponent)  # the core-EP inverse of a
-    residual = np.linalg.norm(a @ x_unit @ a - a)
     norm = powers._norm
     # ||a|| ||x|| >= 1 is a condition number, free of the scale of a; a NaN
-    # residual fails
-    if not residual <= tol.equality_tol * norm * (norm * np.linalg.norm(x_unit)):
+    # residual fails, and so does one that overflows under a finite bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_unit = np.ldexp(x, powers.exponent)  # the core-EP inverse of a
+        residual = np.linalg.norm(a @ x_unit @ a - a)
+        bound = tol.equality_tol * norm * (norm * np.linalg.norm(x_unit))
+    if not residual <= bound:
         raise NumericalFailureError(
             f"core inverse failed its defining equation (residual {residual:.3e})"
         )
@@ -672,24 +680,28 @@ def _clears(m: np.ndarray, floor: float) -> bool:
     absorbs the rounding of t and s: success proves ``sigma_min(a)**2 > t**2``
     and ``sigma_min(m) > 10 floor``.  It can
     certify only when ``sigma_min(m) / ||m||_F`` exceeds about
-    ``sqrt(3 (k + 2) eps)``.  A zero or non-finite peak, a shift that is not
-    finite or a failed factorization leave the value uncertified
-    (``False``), never a warning; ``floor / peak`` is taken first so that
-    ``10 floor`` cannot overflow.
+    ``sqrt(3 (k + 2) eps)``.
+
+    Nothing is formed unless ``10 floor < k peak``.  That is necessary, not
+    a rule of its own: every entry of a has magnitude at most 1, so a
+    factorization that succeeds has ``t**2 <= s < min diag(g) <= k`` and
+    ``10 floor / peak < sqrt(k) <= k``.  A core that fails it (a zero one,
+    or one far below the floor, such as a subnormal core) is uncertified
+    (``False``) without a Gram product or a factorization.  One that passes
+    it has ``floor / peak < k / 10``, so t, s and every product are finite
+    and raise no warning, whatever numpy scalar type ``floor`` has.  A
+    failed factorization leaves the value uncertified too.
     """
+    k = m.shape[0]
     peak = float(np.abs(m).max())
-    if not 0.0 < peak < math.inf:
+    if not _CERTIFICATE_MARGIN * floor < k * peak:
         return False
     a = m / peak
     g = a.T @ a
-    k = g.shape[0]
     diag = g.ravel()[:: k + 1]  # a view: g is contiguous
     f = float(diag.sum())
     t = _CERTIFICATE_MARGIN * (floor / peak) + _EPS * math.sqrt(f)
-    shift = t * t + 3 * (k + 2) * _EPS * f
-    if not shift < math.inf:
-        return False
-    diag -= shift
+    diag -= t * t + 3 * (k + 2) * _EPS * f
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -707,7 +719,7 @@ def _unit_scale(m: np.ndarray):
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
     """``x``, unless an entry overflowed (or became NaN) while computing it."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalFailureError(f"{what} overflows the floating-point range")
     return x
 

@@ -769,6 +769,21 @@ def test_matrix_near_the_float_maximum(tmp_path):
     assert "overflows" in proc.stderr
 
 
+def test_subnormal_core_warns_of_nothing(tmp_path):
+    # a warning filter set in the interpreter reaches what pytest's does not:
+    # the staircase of this matrix meets a subnormal core at its second step
+    rec = {"lower": [1, 1], "upper": [3, -1]}
+    a = [[1e-320, 1.0], [0.0, 0.0]]
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"a": a, "y": [rec, rec]}))
+    env = _source_env()
+    for args in (["inverse", str(doc), "--show-decomposition"],
+                 ["solve", str(doc), "--format", "json"]):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fuzzylinsys"]
+                              + args, capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+
+
 def test_solve_does_not_import_scipy_linalg():
     # the package imports numpy and the standard library alone (a static
     # check in test_hygiene.py); at run time, importing it, solving and

@@ -8,6 +8,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,10 @@ def _matrix(rng, kind, n):
 # A power of two near unit scale or anywhere up to the float range.
 _SCALES = st.one_of(st.integers(-8, 8), st.integers(-1000, 1020))
 
+# How a matrix is scaled entry by entry: one power of two per entry, row or
+# column, each anywhere from the subnormal range to near the float maximum.
+_SPREADS = {"entry": lambda n: (n, n), "row": lambda n: (n, 1), "column": lambda n: (1, n)}
+
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), kind=st.sampled_from(_KINDS),
@@ -61,6 +66,31 @@ def test_solve_command_keeps_its_contract(tmp_path_factory, seed, n, kind, pa, p
     rng = np.random.default_rng(seed)
     a = np.ldexp(_matrix(rng, kind, n), pa)
     y = np.ldexp(rng.standard_normal((n, 4)), py)
+    _assert_contract(tmp_path_factory, a, y, method)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), kind=st.sampled_from(_KINDS),
+       spread=st.sampled_from(sorted(_SPREADS)), py=_SCALES,
+       method=st.sampled_from(sorted(cli._METHOD_FLAGS)))
+def test_solve_command_keeps_its_contract_at_mixed_scales(tmp_path_factory, seed, n, kind,
+                                                          spread, py, method):
+    rng = np.random.default_rng(seed)
+    a = np.ldexp(_matrix(rng, kind, n), rng.integers(-1070, 1015, _SPREADS[spread](n)))
+    y = np.ldexp(rng.standard_normal((n, 4)), py)
+    _assert_contract(tmp_path_factory, a, y, method)
+
+
+@pytest.mark.parametrize("method", sorted(cli._METHOD_FLAGS))
+def test_solve_command_keeps_its_contract_on_a_subnormal_core(tmp_path_factory, method):
+    # the second step of the staircase of A has a subnormal core
+    a = np.array([[1e-320, 1.0], [0.0, 0.0]])
+    _assert_contract(tmp_path_factory, a, np.array([[1.0, 1.0, 3.0, -1.0]] * 2), method)
+
+
+def _assert_contract(tmp_path_factory, a, y, method):
+    """Run ``solve`` on the problem ``a``, with y's rows the records
+    ``[l0, l1, u0, u1]``, and check its contract."""
     path = tmp_path_factory.getbasetemp() / "contract.json"
     path.write_text(json.dumps({"a": a.tolist(), "y": [
         {"lower": [l0, l1], "upper": [u0, u1]} for l0, l1, u0, u1 in y.tolist()]}))

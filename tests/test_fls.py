@@ -208,6 +208,18 @@ class TestBlockCoreEp:
         p, q = (core_ep_via_decomposition(MatrixPowers(m)) for m in (d + e, d - e))
         np.testing.assert_array_equal(blocked, np.block([[p + q, p - q], [p - q, p + q]]) * 0.5)
 
+    def test_blocks_near_the_float_maximum(self):
+        # d + e overflows, d/2 + e/2 does not: 1 / 2e308 / 2 in every entry,
+        # subnormal and so to a few digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = core_ep_from_blocks([[1e308]], [[1e308]])
+        np.testing.assert_allclose(x, np.full((2, 2), 2.5e-309), rtol=1e-5, atol=0.0)
+
+    def test_blocks_of_unequal_shape(self):
+        with pytest.raises(DimensionMismatchError, match="block shapes differ"):
+            core_ep_from_blocks(np.eye(2), np.eye(3))
+
     def test_extracted_blocks_recover_half_inverses(self):
         # reverse direction: H +- Z equal the half-size core-EP inverses
         for d, e in block_pair_suite(seed=99, reps=8):

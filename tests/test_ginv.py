@@ -653,6 +653,20 @@ class TestOverflow:
                 pytest.raises(NumericalFailureError, match="defining equation"):
             core_inverse(np.eye(2))
 
+    def test_overflowing_check_of_core_inverse(self):
+        # under a fine cutoff 2**601 X, the core-EP inverse of the unit-scale
+        # copy, has entries near 1e180, and the check's norms overflow: no
+        # warning, and X or the error of the defining equation
+        m, tol = np.array([[1.0, 2.0**600], [0.0, 1.0]]), TolerancePolicy(rank_rel_tol=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                x = core_inverse(m, tol)
+            except NumericalFailureError as exc:
+                assert "defining equation" in str(exc)
+            else:
+                np.testing.assert_array_equal(x, core_ep_via_decomposition(m, tol))
+
 
 class TestInColumnSpace:
     def test_worked_memberships(self, consistent_3x3, inconsistent_2x2):
@@ -763,6 +777,28 @@ class TestCertificate:
             assert not _clears(np.diag([1.0, 1e-12]), 1e-20)  # beyond its reach
             assert _clears(np.eye(3), 0.09)
             assert not _clears(np.eye(3), 0.1)
+
+    @pytest.mark.parametrize("m, floor", [
+        (np.array([[1e-320]]), np.float64(1.0)),  # floor / peak overflows
+        (np.eye(2), np.float64(1e307)),  # t * t overflows
+        (1e-320 * np.eye(2), np.float64(1e-15)),  # t * t overflows
+        (1e-300 * np.eye(3), np.float64(1e10)),  # floor / peak overflows
+    ])
+    def test_a_core_that_cannot_clear_warns_of_nothing(self, m, floor):
+        # 10 floor >= k peak rules a certificate out before any product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _clears(m, floor)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, TolerancePolicy(rank_rel_tol=0.5)])
+    def test_subnormal_second_core_warns_of_nothing(self, tol):
+        # the second step's core is subnormal; a certificate formed in full
+        # overflows, in ``t * t`` under the default policy and in
+        # ``floor / peak`` under a coarse one
+        m = np.array([[1e-320, 1.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert power_ranks(MatrixPowers(m), tol) == [2, 1, 0, 0]
 
 
 class TestTolerancePolicy:

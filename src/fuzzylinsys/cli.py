@@ -145,10 +145,11 @@ def cmd_inverse(args) -> int:
     # raises DimensionMismatchError for a matrix that is not square
     powers = ginv.MatrixPowers(a)
     x = _INVERSE_KINDS[args.kind](powers)
+    # all is computed before anything is printed, so a failure prints nothing
+    dec = ginv.core_ep_decompose(powers) if args.show_decomposition else None
     print(f"{args.kind} inverse ({a.shape[0]}x{a.shape[1]}):")
     print(format_matrix(x, args.precision))
-    if args.show_decomposition:
-        dec = ginv.core_ep_decompose(powers)
+    if dec is not None:
         print(f"\ncore-EP decomposition (index = {dec.k}):")
         for name, block in (("U", dec.u), ("T", dec.t),
                             ("S-block", dec.s_block), ("N", dec.n_block)):

@@ -61,9 +61,9 @@ class TolerancePolicy:
     ``residual_tol`` bounds residuals in membership and consistency checks
     relative to the vector y they are residuals of, ``residual_tol * ||y||``:
     a purely relative bound, with no absolute floor.  :func:`in_column_space`
-    takes both norms on y scaled to unit largest entry, the residual being
-    the part of y off the left singular vectors of the matrix above the rank
-    cutoff, and the solver on the generator in half coordinates,
+    takes both norms on the unit-scale copy of y (:func:`_unit_scale`), the
+    residual being the part of y off the left singular vectors of the matrix
+    above the rank cutoff, and the solver on the generator in half coordinates,
     ``Q y / sqrt(2)``, each column scaled by a power of two to largest
     entry in [1/2, 1); Q is orthogonal, so the rule is the same.  The
     residual ``S x - y`` of an exact solution is bounded as a backward
@@ -198,7 +198,7 @@ class MatrixPowers:
     the kept SVD) and the core-EP solve read it, so no norm or singular
     value of a finite ``m`` overflows and no rank depends on the scale of
     ``m``.  The results that carry the scale are scaled back once: the
-    Moore-Penrose and core-EP inverses by ``2**-e``, the ``t`` block of
+    Moore-Penrose and core-EP inverses by ``2**-e``, the three blocks of
     :func:`core_ep_decompose` by ``2**e``.  Scaling by a power of two is
     exact, so where no entry is subnormal and LAPACK does not rescale its
     input itself, each result has the bits of the same arithmetic on ``m``.
@@ -393,17 +393,19 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     the staircase kept (the matrix :meth:`MatrixPowers.core_ep_apply`
     inverts), the lower-left block vanishes and ``n_block = W^T m W`` is
     strictly upper triangular, with zero diagonal blocks of the sizes of the
-    rank drops.  The kept core is that of the unit-scale copy of ``m`` and
-    is scaled back once for ``t``; a ``t`` beyond the float range raises a
-    :class:`NumericalFailureError` that says it overflows.  Each column of
-    W is signed so that its largest-magnitude entry (the first, on ties) is
+    rank drops.  All three blocks are formed on the unit-scale copy of
+    ``m``, whose core the staircase kept, and scaled back once, by
+    ``2**exponent``; a block beyond the float range raises a
+    :class:`NumericalFailureError` that names the block and says it
+    overflows.  Each column of W is signed so that its largest-magnitude entry (the first, on ties) is
     positive, so the factors do not depend on the signs LAPACK gives
     singular vectors.  ``m`` is a square matrix or a
     :class:`MatrixPowers`, whose cached staircase is then reused.
 
     ``t`` is nonsingular because the staircase's last step found it so.  The
-    factors are checked to reconstruct ``m`` within ``equality_tol *
-    ||m||_F``, a backward error on the scale of ``m`` (see
+    factors of the unit-scale copy are checked to reconstruct it within
+    ``equality_tol`` times its Frobenius norm, a backward error free of the
+    scale of ``m``, before they are scaled back (see
     :func:`_check_decomposition`).
     """
     powers = _as_powers(m)
@@ -412,11 +414,14 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     b, w = u[:, : ranks[-1]], u[:, ranks[-1] :]
     peaks = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
     w *= np.where(peaks < 0.0, -1.0, 1.0)
-    aw = powers.m @ w
-    with np.errstate(over="ignore"):
-        t = _finite(np.ldexp(core, powers.exponent), "T block of the core-EP decomposition")
-    dec = CoreEpDecomposition(u=u, t=t, s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2)
+    aw = powers.unit @ w
+    dec = CoreEpDecomposition(u=u, t=core, s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2)
     _check_decomposition(powers, dec, tol)
+    e = powers.exponent
+    with np.errstate(over="ignore"):  # _finite names a block that overflows
+        dec.t = _finite(np.ldexp(core, e), "T block of the core-EP decomposition")
+        dec.s_block = _finite(np.ldexp(dec.s_block, e), "S block of the core-EP decomposition")
+        dec.n_block = _finite(np.ldexp(dec.n_block, e), "N block of the core-EP decomposition")
     return dec
 
 
@@ -492,29 +497,28 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     backward error:
     ``||A X A - A||_F <= equality_tol * ||A||_F * (||A||_F ||X||_F)``.  A
     backward-stable X passes however ill-conditioned the core, a wrong one
-    does not, and scaling A moves neither side; so both are taken at unit
-    scale, on the :class:`MatrixPowers`'s ``unit`` and its core-EP inverse
-    ``2**exponent X``, and no norm of A overflows.  An X with an entry
-    beyond the float range raises a :class:`NumericalFailureError` that says
-    it overflows.  Under a fine ``rank_rel_tol`` the check itself can
-    overflow; it is formed without a warning, and a NaN residual, or one
-    that overflows under a finite bound, fails it.
+    does not, and scaling A or X by a power of two moves neither side.  So
+    it is taken on the :class:`MatrixPowers`'s ``unit``, ``a = 2**-e A``,
+    and on X's own unit-scale copy ``x' = 2**-g X`` (:func:`_unit_scale`),
+    as ``||a x' a - 2**-(e+g) a||_F <= equality_tol * ||a||_F**2 ||x'||_F``:
+    both largest entries lie in [1/2, 1), so neither ``||a||_F`` nor
+    ``||x'||_F`` overflows or underflows and the bound is finite, however
+    fine ``rank_rel_tol`` is.  An X with an entry beyond the float range
+    raises a :class:`NumericalFailureError` that says it overflows; a NaN
+    entry gives a NaN residual, which fails.
     """
     powers = _as_powers(m)
     k = matrix_index(powers, tol)
     if k > 1:
         raise IndexTooLargeError(f"core inverse requires matrix index <= 1, got {k}")
-    a = powers.unit
     x = powers._inverse(tol).copy()
     if np.isinf(x).any():  # a NaN entry fails the defining equation below
         raise NumericalFailureError("core inverse overflows the floating-point range")
-    norm = powers._norm
-    # ||a|| ||x|| >= 1 is a condition number, free of the scale of a; a NaN
-    # residual fails, and so does one that overflows under a finite bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_unit = np.ldexp(x, powers.exponent)  # the core-EP inverse of a
-        residual = np.linalg.norm(a @ x_unit @ a - a)
-        bound = tol.equality_tol * norm * (norm * np.linalg.norm(x_unit))
+    # a = 2**-e A and x' = 2**-g X both have unit largest entry, and
+    # a x' a = 2**-(e+g) a; a NaN residual fails
+    a, (x_unit, g) = powers.unit, _unit_scale(x)
+    residual = np.linalg.norm(a @ x_unit @ a - np.ldexp(a, -(powers.exponent + g)))
+    bound = tol.equality_tol * powers._norm**2 * np.linalg.norm(x_unit)
     if not residual <= bound:
         raise NumericalFailureError(
             f"core inverse failed its defining equation (residual {residual:.3e})"
@@ -525,7 +529,8 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
 def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     """Whether ``y`` lies in the column space of ``m``.
 
-    Decided on ``y`` scaled to unit largest entry, by its residual off the
+    Decided on the unit-scale copy of ``y`` (:func:`_unit_scale`, the power
+    of two every matrix of the engine is taken at), by its residual off the
     left singular vectors ``U_r`` of ``m`` above the rank cutoff, the basis
     of ``col(m)`` that :func:`rank` counts: true iff
     ``||y - U_r U_r^T y|| <= residual_tol * ||y||``, a bound relative to y
@@ -538,11 +543,10 @@ def in_column_space(m, y, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> bool:
     if not isinstance(m, MatrixPowers):
         m = as_matrix(m)
     v = as_vector(y, m.n if isinstance(m, MatrixPowers) else m.shape[0])
-    peak = np.abs(v).max()
-    if peak == 0.0:
+    v, _ = _unit_scale(v)
+    if not v.any():
         return True
     u, _, _, r, _ = _svd_of(m, tol)
-    v = v / peak
     b = u[:, :r]
     residual = float(np.linalg.norm(v - b @ (b.T @ v)))
     return residual <= tol.residual_tol * float(np.linalg.norm(v))
@@ -726,13 +730,12 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
 
 def _check_decomposition(powers: MatrixPowers, dec: CoreEpDecomposition,
                          tol: TolerancePolicy):
-    """Raise unless the factors reconstruct ``a = powers.m`` to
-    ``equality_tol * ||a||_F``: ``u`` is orthonormal, so the error is a
-    backward error of about ``eps ||a||``, judged on the scale of ``a``
-    alone.  Both norms are taken at unit scale, the error scaled by
-    ``2**-exponent`` as ``unit`` is, so neither overflows; factors that are
-    not finite give a NaN error, which fails."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        error = np.linalg.norm(np.ldexp(dec.assemble() - powers.m, -powers.exponent))
+    """Raise unless the factors of the unit-scale copy ``a = powers.unit``
+    reconstruct it to ``equality_tol * ||a||_F``: ``u`` is orthonormal, so
+    the error is a backward error of about ``eps ||a||``, judged on the
+    scale of ``a`` alone, and no norm of a finite matrix overflows; factors
+    that are not finite give a NaN error, which fails."""
+    with np.errstate(invalid="ignore"):
+        error = np.linalg.norm(dec.assemble() - powers.unit)
     if not error <= tol.equality_tol * powers._norm:  # a NaN error fails
         raise NumericalFailureError("block triangularization does not reconstruct the input")

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import warnings
@@ -420,13 +421,19 @@ class TestCoreEpDecompose:
         rng = np.random.default_rng(84)
         m = index_matrix(rng, 8, 2)
         for scale in (1.0, 1e-150, 1e150):
-            perturbed, infinite = core_ep_decompose(scale * m), core_ep_decompose(scale * m)
+            powers = MatrixPowers(scale * m)
+            dec = core_ep_decompose(powers)
+            # the check reads the factors of the unit-scale copy, 2**-e m
+            exact, perturbed, infinite = (dataclasses.replace(dec, **{
+                name: np.ldexp(getattr(dec, name), -powers.exponent)
+                for name in ("t", "s_block", "n_block")}) for _ in range(3))
+            _check_decomposition(powers, exact, DEFAULT_TOLERANCES)
             noise = rng.standard_normal(perturbed.t.shape)
             perturbed.t = perturbed.t + 1e-6 * np.abs(perturbed.t).max() * noise
             infinite.n_block = np.full_like(infinite.n_block, np.inf)
             for dec in (perturbed, infinite):
                 with pytest.raises(NumericalFailureError, match="reconstruct"):
-                    _check_decomposition(MatrixPowers(scale * m), dec, DEFAULT_TOLERANCES)
+                    _check_decomposition(powers, dec, DEFAULT_TOLERANCES)
 
     def test_index_two_where_eigenvalues_blur(self):
         # Perturbed defective zero eigenvalues make a split of this matrix by
@@ -653,10 +660,28 @@ class TestOverflow:
                 pytest.raises(NumericalFailureError, match="defining equation"):
             core_inverse(np.eye(2))
 
+    def test_core_inverse_check_is_finite_under_a_fine_cutoff(self, monkeypatch):
+        # the core-EP inverse of the unit-scale copy has an entry 2e160,
+        # whose square overflows a plain Frobenius norm; X off by 1e-6 of
+        # its largest entry still fails the defining equation
+        powers = MatrixPowers(np.diag([1.0, 1e-160]))
+        tol = TolerancePolicy(rank_rel_tol=1e-300)
+        apply = MatrixPowers.core_ep_apply
+
+        def perturbed(self, w, tol=DEFAULT_TOLERANCES):
+            x = apply(self, w, tol)
+            x[0, 0] += 1e-6 * np.abs(x).max()
+            return x
+
+        monkeypatch.setattr(MatrixPowers, "core_ep_apply", perturbed)
+        with pytest.raises(NumericalFailureError, match="defining equation"):
+            core_inverse(powers, tol)
+
     def test_overflowing_check_of_core_inverse(self):
         # under a fine cutoff 2**601 X, the core-EP inverse of the unit-scale
-        # copy, has entries near 1e180, and the check's norms overflow: no
-        # warning, and X or the error of the defining equation
+        # copy, has entries near 1e180; the check is taken on X's own
+        # unit-scale copy: no warning, and X or the error of the defining
+        # equation
         m, tol = np.array([[1.0, 2.0**600], [0.0, 1.0]]), TolerancePolicy(rank_rel_tol=1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

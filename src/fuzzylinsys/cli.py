@@ -280,7 +280,9 @@ def report_from_dict(doc: dict) -> tuple[fls.SolveReport, TolerancePolicy]:
     Only the fields that a report does not derive are read: the ranks and
     index of ``classification``, ``method``, ``crisp``, ``is_generalized``,
     ``residual`` and ``tolerances``, numbers by the parsers of
-    :func:`load_problem`; n is half the length of ``crisp.x0``.
+    :func:`load_problem` and tolerances by :class:`TolerancePolicy`, which
+    refuses any value that is not a real number in (0, 1); n is half the
+    length of ``crisp.x0``.
     ``classification.kind``, ``fuzzy``, ``verdicts`` and ``overall`` are
     rebuilt from them by the package's own functions
     (:meth:`fls.Classification.of`, :func:`fls.fuzzy_solution`), so a
@@ -310,11 +312,8 @@ def report_from_dict(doc: dict) -> tuple[fls.SolveReport, TolerancePolicy]:
         raise ProblemFormatError(f"method must name a solver method, got {doc['method']!r}")
     if _require_number(doc["residual"], "residual") < 0:
         raise ProblemFormatError(f"residual must be nonnegative, got {doc['residual']!r}")
-    tol = _record(doc["tolerances"], "tolerances", TolerancePolicy.__dataclass_fields__)
-    for field, value in tol.items():
-        if not (field == "rank_rel_tol" and value is None):  # None: the shape-dependent cutoff
-            _require_number(value, f"tolerances.{field}")
-    tol = _tolerance_policy(tol)
+    tol = _tolerance_policy(_record(doc["tolerances"], "tolerances",
+                                    TolerancePolicy.__dataclass_fields__))
     report = fls.SolveReport(
         fls.Classification.of(cls["rank_s"], cls["rank_aug"], cls["index_s"], order),
         doc["method"], x0, x1, *fls.fuzzy_solution(x0, x1, tol), doc["residual"],

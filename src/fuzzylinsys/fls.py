@@ -375,14 +375,14 @@ def _analyse(sys: AssociatedSystem, tol: TolerancePolicy) -> _Analysis:
     from the projection onto ``col(S)``, and the membership from the one onto
     ``col(S**k)``, the same projection unless ``index_s > 1`` (at index <= 1
     each half's ``bases[-2]`` is its ``bases[1]``)."""
-    ranges = [h.ranges(tol) for h in sys.halves]
-    rank_s = sum(ranks[1] for ranks, _ in ranges)
-    index_s = max(len(ranks) - 2 for ranks, _ in ranges)
-    outside = _outside([b[1] for _, b in ranges], sys)
+    steps = [h.staircase(tol) for h in sys.halves]
+    rank_s = sum(st.ranks[1] for st in steps)
+    index_s = max(len(st.ranks) - 2 for st in steps)
+    outside = _outside([st.bases[1] for st in steps], sys)
     excess = _residual_rank(outside, sys, tol)
     cls = Classification.of(rank_s, rank_s + excess, index_s, 2 * sys.n)
     if index_s > 1:
-        outside = _outside([b[-2] for _, b in ranges], sys)
+        outside = _outside([st.bases[-2] for st in steps], sys)
         excess = _residual_rank(outside, sys, tol)
     return _Analysis(cls, outside, excess == 0)
 
@@ -444,7 +444,7 @@ def _residual(sys: AssociatedSystem, x: np.ndarray, outside, tol: TolerancePolic
     coordinates; Q is orthogonal, so every 2-norm there is the full one over
     ``sqrt(2)`` and the rule is the same.  ``||S||``, the larger
     ``sigma_max`` of the half-blocks, is the one their staircases found
-    (:meth:`ginv.MatrixPowers.norm_bound`), kept as that unit-scale number
+    (:attr:`ginv.Staircase.norm_bound`), kept as that unit-scale number
     and the exponent of the half-blocks' unit copies, because it can exceed
     the float maximum.  Column i is formed at the scale ``2**-e_i``, ``e_i``
     the larger of its generator's exponent ``f_i`` (``sys._rhs``) and that of
@@ -460,7 +460,7 @@ def _residual(sys: AssociatedSystem, x: np.ndarray, outside, tol: TolerancePolic
     the unscaled one."""
     _, unit, f, size = sys._rhs
     # |A| and A have the same largest entry, so their unit copies share one exponent
-    norm, scale = max(h.norm_bound(tol) for h in sys.halves), sys.halves[0].exponent
+    norm, scale = max(h.staircase(tol).norm_bound for h in sys.halves), sys.halves[0].exponent
     exp = math.frexp(norm)[1] + scale  # ||S|| = norm * 2**scale can exceed the float range
     top_x = np.abs(x).max(axis=0)
     e = np.where(top_x > 0, np.maximum(f, exp + np.frexp(top_x)[1]), f)

@@ -98,8 +98,12 @@ def validity(a: FuzzyNumber, tol: float = 0.0) -> Validity:
     endpoint nonincreasing (c1 <= 0); clause 3: lower(r) <= upper(r),
     checked at r = 0 and r = 1 (sufficient for affine differences).
     ``tol`` is a slack for floating-point solver output; the default is
-    exact.
+    exact.  It must be finite and nonnegative: a NaN slack would pass every
+    clause and a negative one fail valid numbers, so either raises
+    ``ValueError``.
     """
+    if not (tol >= 0.0 and isfinite(tol)):
+        raise ValueError(f"validity slack must be finite and nonnegative, got {tol!r}")
     bad = []
     if a.lower.c1 < -tol:
         bad.append(1)

@@ -27,6 +27,7 @@ invert it once either way.
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "CoreEpDecomposition",
     "MatrixPowers",
+    "Staircase",
     "rank",
     "moore_penrose",
     "one_three_inverse",
@@ -74,7 +76,9 @@ class TolerancePolicy:
     ``equality_tol`` bounds matrix-equality comparisons, and it scales the
     slack of the validity verdicts, ``equality_tol * max|x|`` over the crisp
     solution (:func:`fuzzylinsys.fls.fuzzy_solution`), so that a verdict is
-    relative to x.
+    relative to x.  Each is a real number in (0, 1), and ``rank_rel_tol``
+    may be ``None``; any other value raises a ``ValueError`` that names the
+    field.
     """
 
     rank_rel_tol: float | None = None
@@ -86,8 +90,8 @@ class TolerancePolicy:
             value = getattr(self, name)
             if name == "rank_rel_tol" and value is None:
                 continue
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+            if not (isinstance(value, Real) and 0.0 < value < 1.0):
+                raise ValueError(f"{name} must be a real number in (0, 1), got {value!r}")
 
     def rank_cutoff(self, shape) -> float:
         """Relative cutoff for the given matrix shape."""
@@ -176,10 +180,35 @@ def matrix_power(m, k: int) -> np.ndarray:
     return np.linalg.matrix_power(a, int(k))
 
 
+@dataclass(frozen=True, eq=False)
+class Staircase:
+    """The rank staircase of one square matrix under one tolerance policy
+    (:meth:`MatrixPowers.staircase`).
+
+    ``ranks`` are the ranks of ``m**0, m**1, ...`` up to the first repeat,
+    so the matrix index is ``len(ranks) - 2``, and ``bases`` holds an
+    orthonormal basis of the column space of each of those powers.
+    ``core`` is ``B^T unit B`` at the index, B its basis ``bases[-2]``, and
+    each entry of ``drops`` is a pair ``(B, W)`` of the basis at a step
+    where the rank dropped and the left singular vectors dropped there,
+    expressed in it.  ``norm_bound`` is ``sigma_max(unit)`` as the first
+    step found it: from its SVD, or the upper bound ``||unit||_F`` where the
+    certificate made that SVD unnecessary.  It lies in [1/2, n], and
+    ``sigma_max(m)`` is it times ``2**exponent``, which can exceed the float
+    maximum.  The sequences are tuples and every array is read-only.
+    """
+
+    ranks: tuple
+    bases: tuple
+    core: np.ndarray
+    drops: tuple
+    norm_bound: float
+
+
 class MatrixPowers:
     """The ranks of the powers ``m**j`` of one square matrix and orthonormal
     bases of their column spaces, computed once per tolerance policy, on
-    first use, without forming any power (see :meth:`ranges`), and the
+    first use, without forming any power (see :meth:`staircase`), and the
     core-EP inverse of ``m`` applied through them (:meth:`core_ep_apply`).
     It also keeps one thin SVD of ``m``, computed on first use whatever the
     policy: the first step of every staircase that cannot certify ``m``
@@ -203,10 +232,12 @@ class MatrixPowers:
     exact, so where no entry is subnormal and LAPACK does not rescale its
     input itself, each result has the bits of the same arithmetic on ``m``.
 
-    ``m`` is copied, and it, ``unit`` and the cached arrays are read-only, so
-    callers that share a ``MatrixPowers`` cannot corrupt it: those that pass one
-    explicitly, and those that pass the same bare matrix in a row, which the
-    engine's functions map to one ``MatrixPowers`` (:func:`_as_powers`).
+    ``m`` is copied, and it, ``unit``, the cached arrays and the
+    :class:`Staircase` records, whose sequences are tuples and whose arrays
+    are read-only, cannot be changed in place, so callers that share a
+    ``MatrixPowers`` cannot corrupt it: those that pass one explicitly, and
+    those that pass the same bare matrix in a row, which the engine's
+    functions map to one ``MatrixPowers`` (:func:`_as_powers`).
     """
 
     def __init__(self, m):
@@ -215,13 +246,15 @@ class MatrixPowers:
         self.m.flags.writeable = self.unit.flags.writeable = False
         self.n = self.m.shape[0]
         self._norm = float(np.linalg.norm(self.unit))
-        self._ranges = {}
+        self._staircases = {}
         self._usv = None
         self._inverses = {}
 
-    def ranges(self, tol: TolerancePolicy = DEFAULT_TOLERANCES):
-        """``(ranks, bases)``: the ranks of ``m**0, m**1, ...`` up to the first
-        repeat, and an orthonormal basis of the column space of each power.
+    def staircase(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Staircase:
+        """The :class:`Staircase` of ``m``: the ranks of ``m**0, m**1, ...``
+        up to the first repeat, and an orthonormal basis of the column space
+        of each power, computed on first use per tolerance policy and kept,
+        so every later call returns the same record.
 
         The column space of ``m**j`` is ``m`` applied to that of
         ``m**(j-1)``, so with B the basis of the latter, the singular values of
@@ -259,82 +292,25 @@ class MatrixPowers:
         its cores.  The last step's core,
         ``B^T m B`` at the index, is kept for :meth:`core_ep_apply`, and at
         each drop the dropped left singular vectors with the basis they are
-        expressed in, which :func:`core_ep_decompose` reads.  Always
-        terminates with j <= n + 1 in exact arithmetic; if the rank sequence
-        has not stabilized by then the tolerance policy is inconsistent with
-        the matrix and a numerical failure is raised.
+        expressed in, which :func:`core_ep_decompose` reads.
+
+        The steps run until the rank repeats, and that happens by j = n + 1:
+        each step's core has the previous rank as its order, so no rank
+        exceeds the one before it, and a rank that does not repeat falls
+        by at least 1 from n, which it can do at most n times.
 
         Every step runs on ``unit``, the copy of m scaled by a power of two,
         which moves no singular value relative to the floor: the ranks and
         bases are those of m, and the kept cores are those of m times
         ``2**-exponent``.
         """
-        return self._steps(tol)[:2]
-
-    def core_ep_apply(self, w, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-        """``m^ce @ w`` as ``B (B^T m B)^-1 B^T w``, B the basis of the column
-        space of ``m**k`` at the index k (Wang's core-EP decomposition), with
-        the core ``B^T m B`` that :meth:`ranges` kept; at index 0, B = I and
-        this is ``solve(m, w)``.
-
-        The kept core is that of ``unit``, ``2**-exponent`` times that of m,
-        and is solved as it is, with w scaled by the same power of two: the
-        same x, so normal-range results have the bits of the solve on m.  The
-        core's smallest singular value cleared the staircase's floor, so
-        LAPACK never takes the reciprocal of a subnormal pivot.  Entries
-        beyond the float range come back as inf or NaN, without a warning:
-        the caller names what overflowed, the solution or the inverse."""
-        _, bases, core, _, _ = self._steps(tol)
-        b = bases[-2]
-        full = b.shape[1] == self.n
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = np.ldexp(w, -self.exponent)
-                x = np.linalg.solve(core, w) if full else b @ np.linalg.solve(core, b.T @ w)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"linear solve failed: {exc}") from exc
-        return x
-
-    def norm_bound(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> float:
-        """``sigma_max(unit)`` as :meth:`ranges` found it: from its first SVD,
-        or the upper bound ``||unit||_F`` where the certificate made that SVD
-        unnecessary.  It lies in [1/2, n] and ``sigma_max(m)`` is it times
-        ``2**exponent``, which can exceed the float maximum."""
-        return self._steps(tol)[4]
-
-    def _inverse(self, tol: TolerancePolicy) -> np.ndarray:
-        """``m^ce``, computed on first use per tolerance policy and kept
-        read-only; callers check that it is finite and return copies of
-        it."""
-        x = self._inverses.get(tol)
-        if x is None:
-            x = self.core_ep_apply(np.eye(self.n), tol)
-            x.flags.writeable = False
-            self._inverses[tol] = x
-        return x
-
-    def _thin_svd(self):
-        """``(u, s, vt)``, the thin SVD of ``unit``, computed on first use
-        and kept read-only: it does not depend on the tolerance policy."""
-        if self._usv is None:
-            usv = tuple(_svd(self.unit))
-            for factor in usv:
-                factor.flags.writeable = False
-            self._usv = usv
-        return self._usv
-
-    def _steps(self, tol: TolerancePolicy):
-        if tol not in self._ranges:
-            self._ranges[tol] = self._staircase(tol)
-        return self._ranges[tol]
-
-    def _staircase(self, tol: TolerancePolicy):
+        if tol in self._staircases:
+            return self._staircases[tol]
         cutoff = tol.rank_cutoff(self.m.shape)
-        eye = np.eye(self.n)
-        eye.flags.writeable = False
-        ranks, bases, drops = [self.n], [eye], []
+        ranks, bases, drops = [self.n], [_frozen(np.eye(self.n))], []
         smax = self._norm  # >= sigma_max(unit); step 1's SVD replaces it
-        for j in range(1, self.n + 2):
+        while len(ranks) == 1 or ranks[-1] < ranks[-2]:  # until the rank repeats
+            j = len(ranks)  # this step ranks m**j
             # a power after a zero power is zero
             r, b, core = 0, bases[-1], np.zeros((0, 0))
             if ranks[-1]:
@@ -348,17 +324,52 @@ class MatrixPowers:
                         smax = s[0]
                     r = int(np.count_nonzero(s > j * cutoff * smax))
                     if r < ranks[-1]:  # the next power needs this one's basis
-                        drops.append((b, u[:, r:]))
-                        b = u[:, :r] if j == 1 else b @ u[:, :r]
-                        b.flags.writeable = False
+                        drops.append((b, _frozen(u)[:, r:]))  # u's slices are read-only too
+                        b = _frozen(u[:, :r] if j == 1 else b @ u[:, :r])
             ranks.append(r)
             bases.append(b)
-            if r == ranks[-2]:
-                return ranks, bases, core, drops, smax
-        raise NumericalFailureError(
-            "rank sequence did not stabilize within the matrix dimension; "
-            "the rank cutoff is inconsistent for this matrix"
-        )
+        record = Staircase(tuple(ranks), tuple(bases), _frozen(core), tuple(drops), float(smax))
+        return self._staircases.setdefault(tol, record)
+
+    def core_ep_apply(self, w, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
+        """``m^ce @ w`` as ``B (B^T m B)^-1 B^T w``, B the basis of the column
+        space of ``m**k`` at the index k (Wang's core-EP decomposition), with
+        the core ``B^T m B`` that :meth:`staircase` kept; at index 0, B = I and
+        this is ``solve(m, w)``.
+
+        The kept core is that of ``unit``, ``2**-exponent`` times that of m,
+        and is solved as it is, with w scaled by the same power of two: the
+        same x, so normal-range results have the bits of the solve on m.  The
+        core's smallest singular value cleared the staircase's floor, so
+        LAPACK never takes the reciprocal of a subnormal pivot.  Entries
+        beyond the float range come back as inf or NaN, without a warning:
+        the caller names what overflowed, the solution or the inverse."""
+        steps = self.staircase(tol)
+        b, core = steps.bases[-2], steps.core
+        full = b.shape[1] == self.n
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.ldexp(w, -self.exponent)
+                x = np.linalg.solve(core, w) if full else b @ np.linalg.solve(core, b.T @ w)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"linear solve failed: {exc}") from exc
+        return x
+
+    def _inverse(self, tol: TolerancePolicy) -> np.ndarray:
+        """``m^ce``, computed on first use per tolerance policy and kept
+        read-only; callers check that it is finite and return copies of
+        it."""
+        x = self._inverses.get(tol)
+        if x is None:
+            x = self._inverses[tol] = _frozen(self.core_ep_apply(np.eye(self.n), tol))
+        return x
+
+    def _thin_svd(self):
+        """``(u, s, vt)``, the thin SVD of ``unit``, computed on first use
+        and kept read-only: it does not depend on the tolerance policy."""
+        if self._usv is None:
+            self._usv = tuple(map(_frozen, _svd(self.unit)))
+        return self._usv
 
 
 def power_ranks(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[int]:
@@ -366,9 +377,9 @@ def power_ranks(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[int]:
     is ``len(ranks) - 2`` and ``ranks[-1]`` is the rank of ``m**index``.
 
     ``m`` is a square matrix or a :class:`MatrixPowers`, whose cached ranks
-    are then reused; the decision rule is that of :meth:`MatrixPowers.ranges`.
+    are then reused; the decision rule is that of :meth:`MatrixPowers.staircase`.
     """
-    return list(_as_powers(m).ranges(tol)[0])
+    return list(_as_powers(m).staircase(tol).ranks)
 
 
 def matrix_index(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
@@ -383,7 +394,7 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     Returns real orthogonal ``u`` and blocks ``t`` (nonsingular, order
     ``rho = rank(m**k)``), ``s_block`` and nilpotent ``n_block`` with
     ``m = u @ [[t, s], [0, n]] @ u.T``, all read off the staircase of
-    :meth:`MatrixPowers.ranges`: no eigenvalues are computed, no power is
+    :meth:`MatrixPowers.staircase`: no eigenvalues are computed, no power is
     formed, no matrix is factorized and no second rank decision is made.
 
     ``u = [B_k | W_k | ... | W_1]``, with ``B_k`` the staircase's basis of
@@ -409,17 +420,18 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     :func:`_check_decomposition`).
     """
     powers = _as_powers(m)
-    ranks, bases, core, drops, _ = powers._steps(tol)
-    u = np.hstack([bases[-2]] + [prev @ dropped for prev, dropped in reversed(drops)])
-    b, w = u[:, : ranks[-1]], u[:, ranks[-1] :]
+    steps = powers.staircase(tol)
+    u = np.hstack([steps.bases[-2]] + [prev @ dropped for prev, dropped in reversed(steps.drops)])
+    b, w = u[:, : steps.ranks[-1]], u[:, steps.ranks[-1] :]
     peaks = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
     w *= np.where(peaks < 0.0, -1.0, 1.0)
     aw = powers.unit @ w
-    dec = CoreEpDecomposition(u=u, t=core, s_block=b.T @ aw, n_block=w.T @ aw, k=len(ranks) - 2)
+    dec = CoreEpDecomposition(u=u, t=steps.core, s_block=b.T @ aw, n_block=w.T @ aw,
+                              k=len(steps.ranks) - 2)
     _check_decomposition(powers, dec, tol)
     e = powers.exponent
     with np.errstate(over="ignore"):  # _finite names a block that overflows
-        dec.t = _finite(np.ldexp(core, e), "T block of the core-EP decomposition")
+        dec.t = _finite(np.ldexp(dec.t, e), "T block of the core-EP decomposition")
         dec.s_block = _finite(np.ldexp(dec.s_block, e), "S block of the core-EP decomposition")
         dec.n_block = _finite(np.ldexp(dec.n_block, e), "N block of the core-EP decomposition")
     return dec
@@ -719,6 +731,13 @@ def _unit_scale(m: np.ndarray):
     [1/2, 1), on which its ranks and factorizations are computed."""
     e = math.frexp(float(np.abs(m).max()))[1]
     return np.ldexp(m, -e), e
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: every array a :class:`MatrixPowers` keeps is
+    frozen as it is made, so no caller that shares it can change it."""
+    a.flags.writeable = False
+    return a
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:

@@ -212,6 +212,15 @@ class TestSolveCommand:
         assert code == EXIT_NUMERICAL and out == ""
         assert err.startswith("error: exact route") and err.count("\n") == 1
 
+    def test_failed_linear_solve(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        code, out, err = run_cli(capsys, "solve", str(FIXTURES / "consistent_2x2.json"))
+        assert code == EXIT_NUMERICAL and out == ""
+        assert err == "error: linear solve failed: Singular matrix\n"
+
     def test_bad_tolerance_flag(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", str(FIXTURES / "consistent_2x2.json"), "--rank-tol", "2.0"
@@ -401,14 +410,17 @@ class TestInverseCommand:
 
     def test_show_decomposition_decides_the_ranks_once(self, capsys, tmp_path, monkeypatch):
         # the inverse and the decomposition share one staircase
-        calls = []
-        staircase = ginv.MatrixPowers._staircase
+        calls, records = [], []
+        staircase = ginv.MatrixPowers.staircase
 
-        def counting(self, tol):
-            calls.append(tol)
-            return staircase(self, tol)
+        def counting(self, tol=ginv.DEFAULT_TOLERANCES):
+            record = staircase(self, tol)
+            if not any(record is seen for seen in records):  # computed, not cached
+                records.append(record)
+                calls.append(tol)
+            return record
 
-        monkeypatch.setattr(ginv.MatrixPowers, "_staircase", counting)
+        monkeypatch.setattr(ginv.MatrixPowers, "staircase", counting)
         doc = tmp_path / "m.json"
         doc.write_text(json.dumps({"a": [[0, 1, 1, 0], [0, 1, 1, 0],
                                          [1, 0, 0, 1], [1, 0, 0, 1]]}))

@@ -38,7 +38,6 @@ FAILURE_CAUSES = (
     "core inverse failed its defining equation",
     "core inverse requires matrix index <= 1",
     "block triangularization does not reconstruct the input",
-    "rank sequence did not stabilize",
     "linear solve failed",
     "SVD failed",
 )

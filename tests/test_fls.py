@@ -114,6 +114,22 @@ class TestBuildAssociated:
             FlsProblem(a=np.eye(3), y=[fz(0, 0, 0, 0)] * 2)
 
 
+def test_complex_matrix_is_refused():
+    # the real part alone is a different system; it is not solved
+    with pytest.raises(ValueError, match="matrix entries must be real"):
+        FlsProblem(a=[[2 + 1j, 0], [0, 1]], y=[fz(1, 0, 1, 0), fz(1, 0, 1, 0)])
+
+
+def test_failed_linear_solve_is_a_numerical_failure(monkeypatch, consistent_2x2):
+    # the one handler of a LinAlgError from np.linalg.solve, in core_ep_apply
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    with pytest.raises(NumericalFailureError, match="^linear solve failed: Singular matrix$"):
+        solve(consistent_2x2.problem)
+
+
 class TestClassify:
     def test_consistent_singular(self, consistent_2x2):
         cls = classify(consistent_2x2.system)
@@ -365,6 +381,12 @@ class TestVerifySolution:
         x0[1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             verify_solution(consistent_2x2.system, dataclasses.replace(report, crisp_x0=x0))
+
+    def test_complex_solution_is_refused(self, consistent_2x2):
+        report = solve(consistent_2x2.problem)
+        complex_x0 = report.crisp_x0 + 1j
+        with pytest.raises(ValueError, match="vector entries must be real"):
+            verify_solution(consistent_2x2.system, dataclasses.replace(report, crisp_x0=complex_x0))
 
     def test_auxiliary_residual_of_a_zero_solution_is_zero(self):
         # A is nilpotent of index 3, so col(S^3) = 0: P = 0 and x = S^ce y = 0,

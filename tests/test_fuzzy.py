@@ -101,6 +101,15 @@ class TestValidity:
         assert validity(almost, tol=1e-9).is_valid
 
 
+    @pytest.mark.parametrize("tol", [float("nan"), -0.5, float("inf"), -float("inf")])
+    def test_slack_must_be_finite_and_nonnegative(self, tol):
+        # a NaN slack passed every clause; a negative one failed valid numbers
+        with pytest.raises(ValueError, match="slack"):
+            validity(fz(0.0, -1.0, 2.0, 1.0), tol)
+        with pytest.raises(ValueError, match="slack"):
+            validity(fz(0.0, 1.0, 2.0, -1.0), tol)
+
+
 class TestAlgebraicProperties:
     @given(a=fuzzy_numbers, b=fuzzy_numbers)
     def test_add_commutative(self, a, b):

@@ -39,6 +39,7 @@ from fuzzylinsys import (
     solve,
 )
 from fuzzylinsys import ginv
+from fuzzylinsys._util import as_matrix, as_vector
 from fuzzylinsys.ginv import _check_decomposition, _clears
 
 EQ_TOL = 1e-9
@@ -406,13 +407,14 @@ class TestCoreEpDecompose:
         powers += [MatrixPowers(m) for m, _, _ in index_matrix_suite(reps=1)]
         powers.append(MatrixPowers(1.0 / (i[:, None] + i[None, :] + 1.0)))
         for p in powers:
-            p.ranges()
+            p.staircase()
         monkeypatch.setattr(np.linalg, "svd", not_called)
         monkeypatch.setattr(np.linalg, "qr", not_called)
         monkeypatch.setattr(np.linalg, "cholesky", not_called)
         for p in powers:
             dec = core_ep_decompose(p)
-            assert (dec.k, dec.rho) == (len(p.ranges()[0]) - 2, p.ranges()[0][-1])
+            ranks = p.staircase().ranks
+            assert (dec.k, dec.rho) == (len(ranks) - 2, ranks[-1])
 
     def test_reconstruction_check_at_every_scale(self):
         # T perturbed by 1e-6 relative no longer reconstructs the input, at
@@ -838,6 +840,12 @@ class TestTolerancePolicy:
         with pytest.raises(ValueError):
             TolerancePolicy(**bad)
 
+    @pytest.mark.parametrize("name", ["rank_rel_tol", "residual_tol", "equality_tol"])
+    @pytest.mark.parametrize("value", ["1e-8", [1e-8], 1e-8j, float("nan")])
+    def test_rejects_what_is_not_a_real_number(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            TolerancePolicy(**{name: value})
+
 
 # The functions that read a staircase, given a bare matrix or a MatrixPowers.
 STAIRCASE_FUNCTIONS = (power_ranks, matrix_index, core_ep_decompose,
@@ -864,15 +872,19 @@ def _outcome(f, m, tol=DEFAULT_TOLERANCES):
 
 @pytest.fixture
 def staircases(monkeypatch):
-    """The tolerance policy of each staircase run while the test runs."""
-    calls = []
-    staircase = MatrixPowers._staircase
+    """The tolerance policy of each staircase computed while the test runs:
+    a call that returns a record not seen before computed it."""
+    calls, records = [], []
+    staircase = MatrixPowers.staircase
 
-    def counting(self, tol):
-        calls.append(tol)
-        return staircase(self, tol)
+    def counting(self, tol=DEFAULT_TOLERANCES):
+        record = staircase(self, tol)
+        if not any(record is seen for seen in records):
+            records.append(record)
+            calls.append(tol)
+        return record
 
-    monkeypatch.setattr(MatrixPowers, "_staircase", counting)
+    monkeypatch.setattr(MatrixPowers, "staircase", counting)
     return calls
 
 
@@ -1069,6 +1081,99 @@ class TestKeptInverse:
             assert [_bits(x), _bits(y)] == fresh
             x[...] = 7.0
             y[...] = -1.0
+
+
+def _arrays(obj):
+    """Every ndarray reachable from ``obj`` through dicts, tuples, lists and
+    dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        yield from _arrays(vars(obj))
+
+
+def _hilbert(n):
+    i = np.arange(n)
+    return 1.0 / (i[:, None] + i[None, :] + 1.0)
+
+
+def _shift(n):
+    """The nilpotent shift of order n, of index n: each power drops one rank."""
+    return np.diag(np.ones(n - 1), 1)
+
+
+class TestStaircaseRecord:
+    """``MatrixPowers.staircase(tol)`` returns one record per policy, whose
+    sequences are tuples and whose arrays are read-only."""
+
+    def test_a_shared_matrix_powers_cannot_be_corrupted(self):
+        cases = [_shift(4), _hilbert(12)] + [m for m, _, _ in index_matrix_suite()]
+
+        def edits(record):
+            def assign(a):
+                a[...] = 1.0
+
+            yield lambda: record.ranks.append(0)
+            yield lambda: setattr(record, "ranks", (1, 1))
+            yield lambda: assign(record.core)
+            yield lambda: assign(record.bases[-1])
+            for basis, dropped in record.drops:
+                yield lambda: assign(basis)
+                yield lambda: assign(dropped)
+
+        for m in cases:
+            p = MatrixPowers(m)
+            for f in ENGINE_SEQUENCE:  # the five calls of an engine op
+                _outcome(f, p)
+            record = p.staircase()
+            assert all(type(seq) is tuple for seq in (record.ranks, record.bases, record.drops))
+            arrays = list(_arrays(vars(p)))
+            assert any(a is record.core for a in arrays)
+            assert not any(a.flags.writeable for a in arrays)
+            assert p.staircase() is record
+            ranks, index = power_ranks(p), matrix_index(p)
+            power_ranks(p).append(0)  # a new list, the caller's own
+            for edit in edits(record):
+                with pytest.raises((AttributeError, ValueError)):
+                    edit()
+            assert (power_ranks(p), matrix_index(p)) == (ranks, index)
+            assert p.staircase() is record
+
+    def test_ranks_fall_strictly_until_their_one_repeat(self):
+        # each core has the previous rank as its order, so the ranks fall
+        # from n until they repeat, at the latest at m**(n+1)
+        shifts = [_shift(n) for n in range(1, 9)]
+        for m in [m for m, _, _ in index_matrix_suite()] + [_hilbert(12)] + shifts:
+            n, ranks = m.shape[0], MatrixPowers(m).staircase().ranks
+            assert ranks[0] == n and ranks[-1] == ranks[-2]
+            assert all(a > b for a, b in zip(ranks[:-2], ranks[1:-1]))
+            assert len(ranks) <= n + 2
+        for n, m in enumerate(shifts, start=1):  # the bound is reached
+            assert MatrixPowers(m).staircase().ranks == tuple(range(n, -1, -1)) + (0,)
+
+
+class TestComplexInput:
+    """Complex entries raise instead of losing their imaginary parts."""
+
+    @pytest.mark.parametrize("f", [MatrixPowers, rank, moore_penrose], ids=lambda f: f.__name__)
+    def test_matrix(self, f):
+        with pytest.raises(ValueError, match="matrix entries must be real"):
+            f(np.array([[1j, 0.0], [0.0, 1.0]]))
+
+    def test_column_space_member(self):
+        with pytest.raises(ValueError, match="vector entries must be real"):
+            in_column_space(np.eye(2), [1.0 + 1j, 0.0])
+
+    def test_real_arrays_are_not_copied(self):
+        a = np.eye(3)
+        assert as_matrix(a) is a
+        assert np.shares_memory(as_vector(a[0]), a)
 
 
 def test_block_pair_suite_shapes():

@@ -13,9 +13,10 @@ the two half-blocks' indices, and the column space of ``S**j`` is Q applied
 to the column spaces of ``|A|**j`` and ``A**j`` side by side.  Each
 half-block's own rank sequence is the only rank decision; classification,
 the membership test and the solve then read their answers from one
-orthonormal basis B per half-block power, and ``M^ce = B (B^T M B)^-1 B^T``
-with B a basis of ``col(M**k)`` (Wang's core-EP decomposition).  No 2n x 2n
-matrix is formed or factorized.
+orthogonal frame per half-block, the U of Wang's core-EP decomposition,
+whose prefixes are orthonormal bases B of the column spaces of its powers,
+and ``M^ce = B (B^T M B)^-1 B^T`` with B the basis of ``col(M**k)``.  No
+2n x 2n matrix is formed or factorized.
 
 The solver works in half coordinates: a 2n-row v is held as ``Q v /
 sqrt(2)``, the rows for ``|A|`` stacked over those for ``A``.  The
@@ -118,9 +119,9 @@ class AssociatedSystem:
 
     @cached_property
     def halves(self) -> tuple[ginv.MatrixPowers, ginv.MatrixPowers]:
-        """The half-blocks ``|A| = D + E`` and ``A = D - E`` with the ranks and
-        range bases of their powers, shared by every stage that asks about
-        this system; built on first use."""
+        """The half-blocks ``|A| = D + E`` and ``A = D - E`` with the ranks of
+        their powers and the frames that span them, shared by every stage
+        that asks about this system; built on first use."""
         return ginv.MatrixPowers(self.d + self.e), ginv.MatrixPowers(self.d - self.e)
 
     @cached_property
@@ -372,17 +373,18 @@ class _Analysis(NamedTuple):
 def _analyse(sys: AssociatedSystem, tol: TolerancePolicy) -> _Analysis:
     """Classify the system and test its right-hand side for membership in
     ``col(S**k)``, from the half-blocks' rank staircases: ``rank_aug`` comes
-    from the projection onto ``col(S)``, and the membership from the one onto
-    ``col(S**k)``, the same projection unless ``index_s > 1`` (at index <= 1
-    each half's ``bases[-2]`` is its ``bases[1]``)."""
+    from the projection onto ``col(S)``, each half's frame prefix
+    ``frame[:, :ranks[1]]``, and the membership from the one onto
+    ``col(S**k)``, its prefix ``frame[:, :ranks[-1]]``: the same projection
+    unless ``index_s > 1`` (at index <= 1 the two prefixes are one)."""
     steps = [h.staircase(tol) for h in sys.halves]
     rank_s = sum(st.ranks[1] for st in steps)
     index_s = max(len(st.ranks) - 2 for st in steps)
-    outside = _outside([st.bases[1] for st in steps], sys)
+    outside = _outside([st.frame[:, : st.ranks[1]] for st in steps], sys)
     excess = _residual_rank(outside, sys, tol)
     cls = Classification.of(rank_s, rank_s + excess, index_s, 2 * sys.n)
     if index_s > 1:
-        outside = _outside([st.bases[-2] for st in steps], sys)
+        outside = _outside([st.frame[:, : st.ranks[-1]] for st in steps], sys)
         excess = _residual_rank(outside, sys, tol)
     return _Analysis(cls, outside, excess == 0)
 

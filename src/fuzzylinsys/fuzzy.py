@@ -10,6 +10,8 @@ membership requirements and is then flagged, not rejected.
 from dataclasses import dataclass
 from math import isfinite
 
+from ._util import as_real
+
 __all__ = [
     "AffineFn",
     "FuzzyNumber",
@@ -23,12 +25,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineFn:
-    """The function ``r -> c0 + c1*r`` on [0, 1]."""
+    """The function ``r -> c0 + c1*r`` on [0, 1].  Each coefficient is a
+    real number within the float range (see :func:`fuzzylinsys._util.as_real`)
+    and finite; anything else raises ``ValueError``."""
 
     c0: float
     c1: float = 0.0
 
     def __post_init__(self):
+        # a plain float, the only kind the solver passes, needs only the
+        # finiteness test
+        if type(self.c0) is not float or type(self.c1) is not float:
+            for c in (self.c0, self.c1):
+                as_real(c, "affine coefficients")
         if not (isfinite(self.c0) and isfinite(self.c1)):
             raise ValueError("affine coefficients must be finite")
 

@@ -5,10 +5,11 @@ inverse, the matrix index, the core and core-EP inverses (the latter by two
 independent routes), and column-space membership tests.  Every result is a
 pure function of the inputs: the functions take plain ``numpy`` arrays and
 return new arrays.  The index search, the core-EP decomposition, both core-EP
-routes and the core inverse read the ranks of the matrix's powers, and the
-orthonormal bases of their column spaces, from a :class:`MatrixPowers`, which
-they also take in place of the matrix; the rank, the Moore-Penrose inverse
-and column-space membership of a square matrix read the SVD that the
+routes and the core inverse read the ranks of the matrix's powers, and one
+orthogonal frame whose prefixes span their column spaces, from a
+:class:`MatrixPowers`, which they also take in place of the matrix; the
+rank, the Moore-Penrose inverse and column-space membership of a square
+matrix read the SVD that the
 :class:`MatrixPowers` keeps, which the first step of its staircase shares,
 and one rule decides the rank behind all three (:func:`_svd_of`).  Every
 rank and factorization of a matrix is taken on one copy of it scaled by a
@@ -109,10 +110,12 @@ class CoreEpDecomposition:
 
     ``t`` is nonsingular of order ``rank(a**k)`` where ``k`` is the matrix
     index, and ``n_block`` is nilpotent (``n_block**k == 0``), strictly upper
-    triangular up to roundoff.  ``u`` is real orthogonal; its first
-    ``rank(a**k)`` columns span the column space of ``a**k``.  ``t`` has no
-    further structure: any orthonormal basis of that space gives a valid
-    decomposition (see :func:`core_ep_decompose` for the one chosen).
+    triangular up to roundoff.  ``u`` is real orthogonal, and every prefix
+    of it spans a power: its first ``rank(a**j)`` columns span the column
+    space of ``a**j`` for each j, ``rank(a**k)`` of them that of ``a**k``.
+    ``t`` has no further structure: any orthonormal basis of that space
+    gives a valid decomposition (see :func:`core_ep_decompose` for the one
+    chosen).
     """
 
     u: np.ndarray
@@ -186,30 +189,31 @@ class Staircase:
     (:meth:`MatrixPowers.staircase`).
 
     ``ranks`` are the ranks of ``m**0, m**1, ...`` up to the first repeat,
-    so the matrix index is ``len(ranks) - 2``, and ``bases`` holds an
-    orthonormal basis of the column space of each of those powers.
-    ``core`` is ``B^T unit B`` at the index, B its basis ``bases[-2]``, and
-    each entry of ``drops`` is a pair ``(B, W)`` of the basis at a step
-    where the rank dropped and the left singular vectors dropped there,
-    expressed in it.  ``norm_bound`` is ``sigma_max(unit)`` as the first
-    step found it: from its SVD, or the upper bound ``||unit||_F`` where the
-    certificate made that SVD unnecessary.  It lies in [1/2, n], and
+    so the matrix index is ``len(ranks) - 2``.  ``frame`` is an n x n
+    orthogonal matrix, the U of Wang's core-EP decomposition, each of whose
+    prefixes ``frame[:, :ranks[j]]`` is an orthonormal basis of the column
+    space of ``m**j``: columns ``ranks[j]`` to ``ranks[j-1]`` are the
+    directions dropped at step j, and the first ``ranks[-1]`` the basis B
+    of ``col(m**k)`` at the index k.  A nonsingular m keeps the identity.
+    ``core`` is ``B^T unit B``.  ``norm_bound`` is ``sigma_max(unit)`` as
+    the first step found it: from its SVD, or the upper bound
+    ``||unit||_F`` where the certificate made that SVD unnecessary.  It lies in [1/2, n], and
     ``sigma_max(m)`` is it times ``2**exponent``, which can exceed the float
-    maximum.  The sequences are tuples and every array is read-only.
+    maximum.  ``ranks`` is a tuple and every array is read-only.
     """
 
     ranks: tuple
-    bases: tuple
+    frame: np.ndarray
     core: np.ndarray
-    drops: tuple
     norm_bound: float
 
 
 class MatrixPowers:
-    """The ranks of the powers ``m**j`` of one square matrix and orthonormal
-    bases of their column spaces, computed once per tolerance policy, on
-    first use, without forming any power (see :meth:`staircase`), and the
-    core-EP inverse of ``m`` applied through them (:meth:`core_ep_apply`).
+    """The ranks of the powers ``m**j`` of one square matrix and an
+    orthogonal frame whose prefixes span their column spaces, computed once
+    per tolerance policy, on first use, without forming any power (see
+    :meth:`staircase`), and the core-EP inverse of ``m`` applied through
+    them (:meth:`core_ep_apply`).
     It also keeps one thin SVD of ``m``, computed on first use whatever the
     policy: the first step of every staircase that cannot certify ``m``
     nonsingular takes its singular values and vectors from it, and
@@ -233,7 +237,7 @@ class MatrixPowers:
     input itself, each result has the bits of the same arithmetic on ``m``.
 
     ``m`` is copied, and it, ``unit``, the cached arrays and the
-    :class:`Staircase` records, whose sequences are tuples and whose arrays
+    :class:`Staircase` records, whose ranks are a tuple and whose arrays
     are read-only, cannot be changed in place, so callers that share a
     ``MatrixPowers`` cannot corrupt it: those that pass one explicitly, and
     those that pass the same bare matrix in a row, which the engine's
@@ -252,9 +256,10 @@ class MatrixPowers:
 
     def staircase(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Staircase:
         """The :class:`Staircase` of ``m``: the ranks of ``m**0, m**1, ...``
-        up to the first repeat, and an orthonormal basis of the column space
-        of each power, computed on first use per tolerance policy and kept,
-        so every later call returns the same record.
+        up to the first repeat, and one orthogonal frame whose prefixes are
+        orthonormal bases of the column spaces of those powers, computed on
+        first use per tolerance policy and kept, so every later call returns
+        the same record.
 
         The column space of ``m**j`` is ``m`` applied to that of
         ``m**(j-1)``, so with B the basis of the latter, the singular values of
@@ -290,9 +295,16 @@ class MatrixPowers:
         and :func:`_clears` says so before it forms anything, so no bound it
         forms overflows and no finite m makes a step warn, however subnormal
         its cores.  The last step's core,
-        ``B^T m B`` at the index, is kept for :meth:`core_ep_apply`, and at
-        each drop the dropped left singular vectors with the basis they are
-        expressed in, which :func:`core_ep_decompose` reads.
+        ``B^T m B`` at the index, is kept for :meth:`core_ep_apply`.
+
+        The frame starts as the identity.  Where the rank drops from
+        ``r_(j-1)`` to ``r_j`` at step j, the dropped left singular vectors
+        ``B U[:, r_j:]``, the orthogonal complement of ``col(m**j)`` in
+        ``col(m**(j-1))``, go into its columns ``r_j`` to ``r_(j-1)``; when
+        the steps end, the last basis goes into its first ``r_k`` columns.
+        So each prefix ``frame[:, :r_j]`` spans ``col(m**j)``, the frame is
+        the U of :func:`core_ep_decompose`, and the record holds one n x n
+        array however high the index, not a basis per power.
 
         The steps run until the rank repeats, and that happens by j = n + 1:
         each step's core has the previous rank as its order, so no rank
@@ -301,18 +313,20 @@ class MatrixPowers:
 
         Every step runs on ``unit``, the copy of m scaled by a power of two,
         which moves no singular value relative to the floor: the ranks and
-        bases are those of m, and the kept cores are those of m times
+        frame are those of m, and the kept cores are those of m times
         ``2**-exponent``.
         """
         if tol in self._staircases:
             return self._staircases[tol]
         cutoff = tol.rank_cutoff(self.m.shape)
-        ranks, bases, drops = [self.n], [_frozen(np.eye(self.n))], []
+        # b is the basis of col(m**(j-1)), set at the first drop: step 1 does
+        # not read it, and with no drop the frame stays the identity
+        ranks, frame, b = [self.n], np.eye(self.n), None
         smax = self._norm  # >= sigma_max(unit); step 1's SVD replaces it
         while len(ranks) == 1 or ranks[-1] < ranks[-2]:  # until the rank repeats
             j = len(ranks)  # this step ranks m**j
             # a power after a zero power is zero
-            r, b, core = 0, bases[-1], np.zeros((0, 0))
+            r, core = 0, np.zeros((0, 0))
             if ranks[-1]:
                 # col(m B) lies in col(B) for j >= 2, so m B = B core
                 core = self.unit if j == 1 else b.T @ (self.unit @ b)
@@ -324,16 +338,18 @@ class MatrixPowers:
                         smax = s[0]
                     r = int(np.count_nonzero(s > j * cutoff * smax))
                     if r < ranks[-1]:  # the next power needs this one's basis
-                        drops.append((b, _frozen(u)[:, r:]))  # u's slices are read-only too
-                        b = _frozen(u[:, :r] if j == 1 else b @ u[:, :r])
+                        frame[:, r : ranks[-1]] = u[:, r:] if j == 1 else b @ u[:, r:]
+                        b = u[:, :r] if j == 1 else b @ u[:, :r]
             ranks.append(r)
-            bases.append(b)
-        record = Staircase(tuple(ranks), tuple(bases), _frozen(core), tuple(drops), float(smax))
+        if b is not None:
+            frame[:, : ranks[-1]] = b
+        record = Staircase(tuple(ranks), _frozen(frame), _frozen(core), float(smax))
         return self._staircases.setdefault(tol, record)
 
     def core_ep_apply(self, w, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
         """``m^ce @ w`` as ``B (B^T m B)^-1 B^T w``, B the basis of the column
-        space of ``m**k`` at the index k (Wang's core-EP decomposition), with
+        space of ``m**k`` at the index k, the first ``rank(m**k)`` columns of
+        the staircase's frame (Wang's core-EP decomposition), with
         the core ``B^T m B`` that :meth:`staircase` kept; at index 0, B = I and
         this is ``solve(m, w)``.
 
@@ -345,8 +361,8 @@ class MatrixPowers:
         beyond the float range come back as inf or NaN, without a warning:
         the caller names what overflowed, the solution or the inverse."""
         steps = self.staircase(tol)
-        b, core = steps.bases[-2], steps.core
-        full = b.shape[1] == self.n
+        b, core = steps.frame[:, : steps.ranks[-1]], steps.core
+        full = steps.ranks[-1] == self.n
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 w = np.ldexp(w, -self.exponent)
@@ -397,9 +413,10 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     :meth:`MatrixPowers.staircase`: no eigenvalues are computed, no power is
     formed, no matrix is factorized and no second rank decision is made.
 
-    ``u = [B_k | W_k | ... | W_1]``, with ``B_k`` the staircase's basis of
-    ``col(m**k)`` and ``W_j`` the left singular vectors dropped at step j, the
-    orthogonal complement of ``col(m**j)`` in ``col(m**(j-1))``.  ``m`` maps
+    ``u = [B_k | W_k | ... | W_1]`` is a copy of the staircase's frame, with
+    ``B_k`` its basis of ``col(m**k)`` and ``W_j`` the left singular vectors
+    dropped at step j, the orthogonal complement of ``col(m**j)`` in
+    ``col(m**(j-1))``; no product is formed to assemble it.  ``m`` maps
     ``col(m**(j-1))`` into ``col(m**j)``, so ``t = B_k^T m B_k`` is the core
     the staircase kept (the matrix :meth:`MatrixPowers.core_ep_apply`
     inverts), the lower-left block vanishes and ``n_block = W^T m W`` is
@@ -421,7 +438,7 @@ def core_ep_decompose(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> CoreEpDec
     """
     powers = _as_powers(m)
     steps = powers.staircase(tol)
-    u = np.hstack([steps.bases[-2]] + [prev @ dropped for prev, dropped in reversed(steps.drops)])
+    u = steps.frame.copy()
     b, w = u[:, : steps.ranks[-1]], u[:, steps.ranks[-1] :]
     peaks = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
     w *= np.where(peaks < 0.0, -1.0, 1.0)
@@ -584,7 +601,7 @@ def _as_powers(m) -> MatrixPowers:
     after :func:`as_square`, so ``-0.0`` for ``0.0`` or any change made to
     the array in place is a miss, and the same values in another memory
     layout (Fortran order, a strided or transposed view) are a hit.  There
-    is one entry, which holds its matrix, bases, SVD and inverses until the
+    is one entry, which holds its matrix, frames, SVD and inverses until the
     next bare-matrix call.  Reading and replacing it are single reference
     operations, so concurrent calls are safe: a race only computes a
     staircase, an SVD or an inverse again.

@@ -18,14 +18,18 @@ from oracles import exact_inverse, exact_rank, svd_staircase_ranks
 
 from fuzzylinsys import (
     DEFAULT_TOLERANCES,
+    AffineFn,
     CoreEpDecomposition,
     DimensionMismatchError,
+    FlsProblem,
     FuzzyLinSysError,
+    FuzzyNumber,
     IndexTooLargeError,
     MatrixPowers,
     NumericalFailureError,
     TolerancePolicy,
     core_ep_decompose,
+    core_ep_from_blocks,
     core_ep_via_decomposition,
     core_ep_via_formula,
     core_inverse,
@@ -1122,17 +1126,15 @@ class TestStaircaseRecord:
             yield lambda: record.ranks.append(0)
             yield lambda: setattr(record, "ranks", (1, 1))
             yield lambda: assign(record.core)
-            yield lambda: assign(record.bases[-1])
-            for basis, dropped in record.drops:
-                yield lambda: assign(basis)
-                yield lambda: assign(dropped)
+            yield lambda: assign(record.frame)
+            yield lambda: assign(record.frame[:, : record.ranks[-1]])
 
         for m in cases:
             p = MatrixPowers(m)
             for f in ENGINE_SEQUENCE:  # the five calls of an engine op
                 _outcome(f, p)
             record = p.staircase()
-            assert all(type(seq) is tuple for seq in (record.ranks, record.bases, record.drops))
+            assert type(record.ranks) is tuple
             arrays = list(_arrays(vars(p)))
             assert any(a is record.core for a in arrays)
             assert not any(a.flags.writeable for a in arrays)
@@ -1144,6 +1146,31 @@ class TestStaircaseRecord:
                     edit()
             assert (power_ranks(p), matrix_index(p)) == (ranks, index)
             assert p.staircase() is record
+
+    def test_the_frame_is_wangs_orthogonal_u(self):
+        # every prefix F[:, :ranks[j]] of the frame is an orthonormal basis
+        # of col(m**j), as the left singular vectors of m**j span it
+        for m, _, _ in index_matrix_suite():
+            n, record = m.shape[0], MatrixPowers(m).staircase()
+            f = record.frame
+            assert f.shape == (n, n)
+            assert np.linalg.norm(f.T @ f - np.eye(n)) <= 1e-12 * n
+            for j, r in enumerate(record.ranks):
+                u = np.linalg.svd(matrix_power(m, j))[0][:, :r]
+                b = f[:, :r]
+                assert np.linalg.norm(b @ b.T - u @ u.T) <= 1e-10
+
+    def test_the_record_of_a_high_index_matrix_holds_o_n2_bytes(self):
+        # one n x n frame, not a basis per power: a view counts the whole
+        # array it keeps alive, once
+        n = 120
+        record = MatrixPowers(_shift(n)).staircase()
+        held = {}
+        for a in _arrays(vars(record)):
+            while a.base is not None:
+                a = a.base
+            held[id(a)] = a.nbytes
+        assert sum(held.values()) <= 16 * n * n
 
     def test_ranks_fall_strictly_until_their_one_repeat(self):
         # each core has the previous rank as its order, so the ranks fall
@@ -1174,6 +1201,82 @@ class TestComplexInput:
         a = np.eye(3)
         assert as_matrix(a) is a
         assert np.shares_memory(as_vector(a[0]), a)
+
+
+def _object_matrix(x):
+    """``[[x, 0], [0, 1]]`` as an object array holding x itself."""
+    m = np.array([[0, 0], [0, 1]], dtype=object)
+    m[0, 0] = x
+    return m
+
+
+# Matrices no entry point accepts: strings, bytes, a masked array, whose mask
+# a cast would drop, and object arrays holding a non-real or out-of-range entry.
+HOSTILE_MATRICES = {
+    "numeric strings": [["1", "0"], ["0", "1"]],
+    "bytes": np.array([[b"1", b"0"], [b"0", b"1"]]),
+    "masked": np.ma.masked_array(np.eye(2), mask=[[False, True], [False, False]]),
+    "str entry": _object_matrix("1"),
+    "complex entry": _object_matrix(1j),
+    "dict entry": _object_matrix({}),
+    "None entry": [[None, 0], [0, 1]],
+    "int beyond float": [[10**400, 0], [0, 1]],
+}
+
+# The public functions that take a matrix, each given one.
+MATRIX_ENTRY_POINTS = {
+    "rank": rank,
+    "moore_penrose": moore_penrose,
+    "matrix_index": matrix_index,
+    "power_ranks": power_ranks,
+    "core_ep_decompose": core_ep_decompose,
+    "core_ep_via_decomposition": core_ep_via_decomposition,
+    "core_ep_via_formula": core_ep_via_formula,
+    "core_inverse": core_inverse,
+    "MatrixPowers": MatrixPowers,
+    "matrix_power": lambda m: matrix_power(m, 2),
+    "in_column_space": lambda m: in_column_space(m, [1.0, 0.0]),
+    "in_column_space y": lambda m: in_column_space(np.eye(4), m),
+    "core_ep_from_blocks": lambda m: core_ep_from_blocks(m, np.eye(2)),
+    "FlsProblem": lambda m: FlsProblem(m, [FuzzyNumber(AffineFn(0.0), AffineFn(1.0))] * 2),
+}
+
+
+class TestInputGate:
+    """Every public entry point refuses a non-real input with a ValueError
+    that names it, and no warning, while real dtypes and big ints that fit a
+    float pass."""
+
+    @pytest.mark.parametrize("m", HOSTILE_MATRICES.values(), ids=HOSTILE_MATRICES.keys())
+    @pytest.mark.parametrize("f", MATRIX_ENTRY_POINTS.values(), ids=MATRIX_ENTRY_POINTS.keys())
+    def test_matrix_entry_points(self, f, m):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="entries must"):
+                f(m)
+        assert caught == []
+
+    @pytest.mark.parametrize("c", ["1", b"1", 1j, {}, None, [1.0], 10**400, np.ma.masked],
+                             ids=["str", "bytes", "complex", "dict", "None", "list", "big int",
+                                  "masked"])
+    @pytest.mark.parametrize("where", ["c0", "c1"])
+    def test_affine_coefficients(self, c, where):
+        args = (c, 0.0) if where == "c0" else (0.0, c)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="affine coefficients must be real"):
+                AffineFn(*args)
+        assert caught == []
+
+    def test_real_inputs_pass(self):
+        big = [[2**70, 0], [0, 2**70]]  # an object array: 2**70 exceeds int64
+        assert np.asarray(big).dtype == object
+        assert rank(big) == 2
+        assert rank([[2**70, 0], [0, 1]]) == rank(np.array([[2.0**70, 0.0], [0.0, 1.0]]))
+        for m in (np.eye(2, dtype=bool), np.eye(2, dtype=np.int8), np.eye(2, dtype=np.float32),
+                  np.eye(2, dtype=np.uint64), [[True, 0], [0, 1.5]]):
+            assert rank(m) == 2
+        assert AffineFn(True, np.int64(2)) == AffineFn(1.0, 2.0)
 
 
 def test_block_pair_suite_shapes():

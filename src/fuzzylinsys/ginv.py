@@ -544,10 +544,13 @@ def core_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     if np.isinf(x).any():  # a NaN entry fails the defining equation below
         raise NumericalFailureError("core inverse overflows the floating-point range")
     # a = 2**-e A and x' = 2**-g X both have unit largest entry, and
-    # a x' a = 2**-(e+g) a; a NaN residual fails
-    a, (x_unit, g) = powers.unit, _unit_scale(x)
-    residual = np.linalg.norm(a @ x_unit @ a - np.ldexp(a, -(powers.exponent + g)))
-    bound = tol.equality_tol * powers._norm**2 * np.linalg.norm(x_unit)
+    # a x' a = 2**-(e+g) a.  A NaN X has no exponent g, and the shift of a
+    # can overflow without it, so its residual is NaN, which fails, unformed
+    residual, bound = math.nan, 0.0
+    if not np.isnan(x).any():
+        a, (x_unit, g) = powers.unit, _unit_scale(x)
+        residual = np.linalg.norm(a @ x_unit @ a - np.ldexp(a, -(powers.exponent + g)))
+        bound = tol.equality_tol * powers._norm**2 * np.linalg.norm(x_unit)
     if not residual <= bound:
         raise NumericalFailureError(
             f"core inverse failed its defining equation (residual {residual:.3e})"

@@ -657,6 +657,17 @@ class TestOverflow:
                 with pytest.raises(NumericalFailureError, match="overflows"):
                     inverse(m)
 
+    def test_nan_core_inverse_fails_without_a_warning(self):
+        # the core-EP inverse of this index-1 matrix near the subnormal range
+        # comes back with NaN entries and no inf, and 2**1038 times its
+        # unit-scale copy overflows
+        a = np.ldexp(np.array([[1.0, 2.0, 1.0], [3.0, -1.0, 3.0], [0.0, 1.0, 0.0]]), -1040)
+        for m in (a, MatrixPowers(a)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalFailureError, match="defining equation"):
+                    core_inverse(m)
+
     def test_nan_residual_fails_core_inverse(self, monkeypatch):
         monkeypatch.setattr(MatrixPowers, "core_ep_apply",
                             lambda self, w, tol=DEFAULT_TOLERANCES: np.full(w.shape, np.nan))

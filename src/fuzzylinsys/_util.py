@@ -28,12 +28,18 @@ def _as_floats(x, what: str) -> np.ndarray:
     array (say one holding an int beyond int64, such as ``2**70``) is
     converted one element at a time by :func:`as_real`.  A masked array,
     whose mask the conversion would drop, and any other dtype (strings,
-    bytes, complex) raise a ``ValueError``."""
-    # only code that imported numpy.ma can hold a masked array, and
-    # reading np.ma would import it, which costs a cold start about 20 ms
+    bytes, complex) raise a ``ValueError``, as does a sequence holding the
+    masked constant, which the conversion would turn into NaN with a
+    warning."""
+    # only code that imported numpy.ma can hold a masked array or the masked
+    # constant, and reading np.ma would import it, which costs a cold start
+    # about 20 ms
     ma = sys.modules.get("numpy.ma")
-    if ma is not None and isinstance(x, ma.MaskedArray):
-        raise ValueError(f"{what} must not be masked")
+    if ma is not None:
+        if isinstance(x, ma.MaskedArray):
+            raise ValueError(f"{what} must not be masked")
+        if not isinstance(x, np.ndarray):  # so as_real meets each element
+            x = np.asarray(x, dtype=object)
     a = np.asarray(x)
     if a.dtype == float:
         return a

@@ -34,6 +34,7 @@ reported number.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -81,14 +82,23 @@ _TINY = np.finfo(float).tiny
 
 @dataclass
 class FlsProblem:
-    """A crisp square coefficient matrix with a fuzzy right-hand side."""
+    """A crisp square coefficient matrix with a fuzzy right-hand side.  A
+    ``y`` that is not a sequence of :class:`FuzzyNumber` raises ``ValueError``,
+    naming the first entry that is not one."""
 
     a: np.ndarray
     y: list[FuzzyNumber]
 
     def __post_init__(self):
         self.a = as_square(self.a)
-        self.y = list(self.y)
+        try:
+            self.y = list(self.y)
+        except TypeError:
+            raise ValueError(f"y must be a sequence of FuzzyNumber, got "
+                             f"{reprlib.repr(self.y)}") from None
+        for i, fn in enumerate(self.y):
+            if not isinstance(fn, FuzzyNumber):
+                raise ValueError(f"y[{i}] must be a FuzzyNumber, got {reprlib.repr(fn)}")
         if len(self.y) != self.a.shape[0]:
             raise DimensionMismatchError(
                 f"right-hand side has {len(self.y)} components for a "
@@ -331,10 +341,11 @@ def fuzzy_solution(x0, x1, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> tuple[l
     ``x = 0``), so a verdict does not move when x is scaled by a power of
     two, as scaling A or y by one does.  :func:`solve` and the report codec
     (``cli.report_from_dict``) both call this, so a report states one
-    solution.  x0 and x1 must have one even length 2n and finite entries,
-    or a ``ValueError`` is raised.
+    solution.  x0 and x1 are vectors of real numbers (see
+    :func:`fuzzylinsys._util.as_vector`) with one even length 2n and finite
+    entries, or a ``ValueError`` is raised.
     """
-    x0, x1 = np.asarray(x0, dtype=float).tolist(), np.asarray(x1, dtype=float).tolist()
+    x0, x1 = as_vector(x0).tolist(), as_vector(x1).tolist()
     n = len(x0) // 2
     slack = tol.equality_tol * max(map(abs, x0 + x1), default=0.0)
     fuzzy_x = [FuzzyNumber(AffineFn(l0, l1), AffineFn(0.0 - u0, 0.0 - u1))  # strict: 2n rows each

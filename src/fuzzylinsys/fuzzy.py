@@ -7,6 +7,7 @@ Invalid pairs are representable on purpose: solver output may violate the
 membership requirements and is then flagged, not rejected.
 """
 
+import reprlib
 from dataclasses import dataclass
 from math import isfinite
 
@@ -53,10 +54,16 @@ class AffineFn:
 
 @dataclass(frozen=True)
 class FuzzyNumber:
-    """Pair of affine endpoint functions; may be invalid (see :func:`validity`)."""
+    """Pair of affine endpoint functions; may be invalid (see :func:`validity`).
+    An endpoint that is not an :class:`AffineFn` raises ``ValueError``."""
 
     lower: AffineFn
     upper: AffineFn
+
+    def __post_init__(self):
+        if not (isinstance(self.lower, AffineFn) and isinstance(self.upper, AffineFn)):
+            raise ValueError(f"fuzzy number endpoints must be AffineFn, got "
+                             f"{reprlib.repr(self.lower)} and {reprlib.repr(self.upper)}")
 
     def __add__(self, other: "FuzzyNumber") -> "FuzzyNumber":
         return add(self, other)
@@ -107,10 +114,14 @@ def validity(a: FuzzyNumber, tol: float = 0.0) -> Validity:
     endpoint nonincreasing (c1 <= 0); clause 3: lower(r) <= upper(r),
     checked at r = 0 and r = 1 (sufficient for affine differences).
     ``tol`` is a slack for floating-point solver output; the default is
-    exact.  It must be finite and nonnegative: a NaN slack would pass every
-    clause and a negative one fail valid numbers, so either raises
-    ``ValueError``.
+    exact.  It must be a finite and nonnegative real number: a NaN slack
+    would pass every clause and a negative one fail valid numbers, so
+    either, or anything that is not a real number within the float range
+    (see :func:`fuzzylinsys._util.as_real`), raises ``ValueError``.
     """
+    # a plain float, the only kind the solver passes, needs no conversion
+    if type(tol) is not float:
+        tol = as_real(tol, "validity slack")
     if not (tol >= 0.0 and isfinite(tol)):
         raise ValueError(f"validity slack must be finite and nonnegative, got {tol!r}")
     bad = []

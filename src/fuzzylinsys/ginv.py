@@ -176,11 +176,14 @@ def one_three_inverse(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarra
 
 
 def matrix_power(m, k: int) -> np.ndarray:
-    """``m**k`` by repeated squaring, with ``m**0 = I``."""
+    """``m**k`` by repeated squaring, with ``m**0 = I``.  A power with an
+    entry beyond the float range raises a :class:`NumericalFailureError`
+    that says it overflows."""
     a = as_square(m)
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    return np.linalg.matrix_power(a, int(k))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names the overflow
+        return _finite(np.linalg.matrix_power(a, int(k)), "matrix power")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +219,8 @@ class MatrixPowers:
     them (:meth:`core_ep_apply`).
     It also keeps one thin SVD of ``m``, computed on first use whatever the
     policy: the first step of every staircase that cannot certify ``m``
-    nonsingular takes its singular values and vectors from it, and
+    nonsingular takes its singular values and vectors from it, later steps
+    take the null space of ``m`` from it to certify their drops, and
     :func:`rank`, :func:`moore_penrose`, :func:`in_column_space` and, at
     index 0, :func:`core_ep_via_formula` read it.
     Per tolerance policy it keeps the
@@ -274,23 +278,43 @@ class MatrixPowers:
         For j >= 2 the space ``col(m**(j-1))`` contains ``col(m**j)``, so
         ``m @ B = B C`` with the core ``C = B^T m B`` of order ``rank(m**(j-1))``,
         up to roundoff inside the floor: C has the singular values of
-        ``m @ B``, and where the rank drops to r, ``B U_r`` (U from the SVD of
-        C) is the next basis.  At j = 1, B = I and C is m itself.
+        ``m @ B``, and where the rank drops to r, ``B U_r`` is the next
+        basis, U an orthogonal matrix whose first r columns span ``col(C)``:
+        the left singular vectors of C, or the Q of a QR factorization where
+        the drop is certified.  At j = 1, B = I and C is m itself.
 
-        Before any SVD, C is certified by :func:`_clears`, a Cholesky
-        factorization of its shifted Gram matrix (Rump, "Verification of
-        positive definiteness", BIT 46, 2006) that proves ``sigma_min(C)``
-        clears the floor 10 times over; ``||m||_F`` stands in for
-        ``sigma_max(m)`` at j = 1.  Then the rank stays and the previous
-        basis spans the same space, with no SVD.  Otherwise one SVD with
-        vectors of C decides and, where the rank dropped, gives the basis the
-        next step needs.  So a nonsingular m takes one Gram product and one
-        Cholesky factorization and each drop those and one SVD of an r x r
-        core; at j = 1 that SVD is the one of m this object keeps for
-        :func:`moore_penrose`.  The certificate needs
-        ``sigma_min(C) / ||C||_F`` above about ``sqrt(3 (r + 2) eps)`` (3e-7 at
-        r = 128, a condition of about 1e6); a core between that and 10 times
-        the floor pays an SVD although its rank holds.  A core of order r
+        One of three decides a step, in this order.
+
+        - **The hold certificate.** :func:`_clears`, a Cholesky
+          factorization of the shifted Gram matrix of C (Rump, "Verification
+          of positive definiteness", BIT 46, 2006), proves that
+          ``sigma_min(C)`` clears the floor 10 times over; ``||m||_F`` stands
+          in for ``sigma_max(m)`` at j = 1.  Then the rank stays and the
+          previous basis spans the same space, with no SVD.
+        - **The certified drop**, at j >= 2 on a core of order at least
+          ``_CERTIFIED_DROP_ORDER`` (32).  A step loses as many ranks as
+          ``col(m**(j-1))`` holds null vectors of m (the kernel view of the
+          staircase: Kublanovskaya 1966; Van Dooren, Linear Algebra Appl.
+          27, 1979), and step 1's SVD holds the null space of m.
+          :func:`_certified_drop` takes its candidates from there and
+          proves, by two min-max bounds, the count the SVD rule would give,
+          with margins of 2 below the floor and 10 above it; a Householder
+          QR of C's kept part gives the next basis.
+        - **The SVD.** Otherwise one SVD with vectors of C decides and,
+          where the rank dropped, gives the basis the next step needs.  At
+          j = 1 that SVD is the one of m this object keeps for
+          :func:`moore_penrose`.
+
+        So a nonsingular m takes one Gram product and one Cholesky
+        factorization; a drop at step 1 takes those and the SVD of m; and a
+        later drop takes those and either the certificate's eigenvalue
+        problem of the order of step 1's drop, two QR factorizations and a
+        second Cholesky factorization, or, where those do not settle it or
+        the core is smaller, one SVD of an r x r core.  The hold
+        certificate needs ``sigma_min(C) / ||C||_F`` above about
+        ``sqrt(3 (r + 2) eps)`` (3e-7 at r = 128, a condition of about 1e6);
+        a core between that and 10 times the floor pays an SVD although its
+        rank holds.  A core of order r
         whose largest entry is at most ``10 floor / r`` cannot be certified,
         and :func:`_clears` says so before it forms anything, so no bound it
         forms overflows and no finite m makes a step warn, however subnormal
@@ -298,7 +322,7 @@ class MatrixPowers:
         ``B^T m B`` at the index, is kept for :meth:`core_ep_apply`.
 
         The frame starts as the identity.  Where the rank drops from
-        ``r_(j-1)`` to ``r_j`` at step j, the dropped left singular vectors
+        ``r_(j-1)`` to ``r_j`` at step j, the dropped directions
         ``B U[:, r_j:]``, the orthogonal complement of ``col(m**j)`` in
         ``col(m**(j-1))``, go into its columns ``r_j`` to ``r_(j-1)``; when
         the steps end, the last basis goes into its first ``r_k`` columns.
@@ -320,8 +344,10 @@ class MatrixPowers:
             return self._staircases[tol]
         cutoff = tol.rank_cutoff(self.m.shape)
         # b is the basis of col(m**(j-1)), set at the first drop: step 1 does
-        # not read it, and with no drop the frame stays the identity
-        ranks, frame, b = [self.n], np.eye(self.n), None
+        # not read it, and with no drop the frame stays the identity; null is
+        # the null space of m that step 1 dropped, which every later step
+        # that reaches it has (a step 1 without a drop ends the staircase)
+        ranks, frame, b, null = [self.n], np.eye(self.n), None, None
         smax = self._norm  # >= sigma_max(unit); step 1's SVD replaces it
         while len(ranks) == 1 or ranks[-1] < ranks[-2]:  # until the rank repeats
             j = len(ranks)  # this step ranks m**j
@@ -333,10 +359,17 @@ class MatrixPowers:
                 if _clears(core, j * cutoff * smax):
                     r = ranks[-1]
                 else:
-                    u, s, _ = self._thin_svd() if j == 1 else _svd(core)
-                    if j == 1:
-                        smax = s[0]
-                    r = int(np.count_nonzero(s > j * cutoff * smax))
+                    drop = None
+                    if j >= 2 and ranks[-1] >= _CERTIFIED_DROP_ORDER:
+                        drop = _certified_drop(core, b.T @ null, j * cutoff * smax)
+                    if drop is None:
+                        u, s, vt = self._thin_svd() if j == 1 else _svd(core)
+                        if j == 1:
+                            smax = s[0]
+                        r = int(np.count_nonzero(s > j * cutoff * smax))
+                        null = vt[r:].T if j == 1 else null
+                    else:
+                        r, u = drop
                     if r < ranks[-1]:  # the next power needs this one's basis
                         frame[:, r : ranks[-1]] = u[:, r:] if j == 1 else b @ u[:, r:]
                         b = u[:, :r] if j == 1 else b @ u[:, :r]
@@ -688,27 +721,30 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _clears(m: np.ndarray, floor: float) -> bool:
-    """Whether the smallest singular value of the square matrix ``m``
-    certainly exceeds ``_CERTIFICATE_MARGIN * floor``: a Cholesky
-    factorization of the shifted Gram matrix ``g - s I`` succeeds.  The
-    staircase passes cores of its unit-scale copy; ``m`` is divided by its
-    own largest entry all the same, so a certificate does not depend on
-    how far that entry lies from 1.
+    """Whether the smallest singular value of the k x c matrix ``m``,
+    ``k >= c``, certainly exceeds ``_CERTIFICATE_MARGIN * floor``: a
+    Cholesky factorization of the shifted c x c Gram matrix ``g - s I``
+    succeeds.  The staircase passes cores of its unit-scale copy, square,
+    and :func:`_certified_drop` the tall product of a core and an
+    orthonormal basis; ``m`` is divided by its own largest entry all the
+    same, so a certificate does not depend on how far that entry lies from
+    1.
 
     With ``a = m / peak`` (peak the largest entry), ``g = a^T a`` and
-    ``f = trace(g) = ||a||_F**2 >= 1``, k the order of m and eps the machine
-    epsilon, the shift is ``s = t**2 + 3 (k + 2) eps f`` with
+    ``f = trace(g) = ||a||_F**2 >= 1``, k the row count of m and eps the
+    machine epsilon, the shift is ``s = t**2 + 3 (k + 2) eps f`` with
     ``t = 10 floor / peak + eps sqrt(f)``.  It covers four roundings
     (Rump, "Verification of positive definiteness", BIT 46, 2006):
 
     - the scaling moves ``sigma_min(a)`` by at most ``eps ||a||_F / 2``,
       which the ``eps sqrt(f)`` in t absorbs;
-    - the computed product differs from ``a^T a`` by at most
-      ``gamma_k ||a||_F**2 = gamma_k f``, ``gamma_k = k eps / 2 / (1 - k eps / 2)``;
+    - the computed product, of dot products of length k, differs from
+      ``a^T a`` by at most ``gamma_k ||a||_F**2 = gamma_k f``,
+      ``gamma_k = k eps / 2 / (1 - k eps / 2)``;
     - subtracting s from the diagonal adds at most ``eps (f + s) / 2``;
-    - a Cholesky factorization that succeeds proves the matrix it ran on
-      positive definite up to ``gamma_(k+1)`` times its trace, at most
-      ``gamma_(k+1) f``.
+    - a Cholesky factorization of order c that succeeds proves the matrix
+      it ran on positive definite up to ``gamma_(c+1)`` times its trace, at
+      most ``gamma_(k+1) f``.
 
     A factorization that succeeds has ``s < f`` (no diagonal entry of
     ``g - s I`` is positive otherwise), so those sum to less than
@@ -720,7 +756,8 @@ def _clears(m: np.ndarray, floor: float) -> bool:
 
     Nothing is formed unless ``10 floor < k peak``.  That is necessary, not
     a rule of its own: every entry of a has magnitude at most 1, so a
-    factorization that succeeds has ``t**2 <= s < min diag(g) <= k`` and
+    factorization that succeeds has ``t**2 <= s < min diag(g) <= k`` (a
+    diagonal entry of g is the squared norm of a column of k entries) and
     ``10 floor / peak < sqrt(k) <= k``.  A core that fails it (a zero one,
     or one far below the floor, such as a subnormal core) is uncertified
     (``False``) without a Gram product or a factorization.  One that passes
@@ -728,13 +765,13 @@ def _clears(m: np.ndarray, floor: float) -> bool:
     and raise no warning, whatever numpy scalar type ``floor`` has.  A
     failed factorization leaves the value uncertified too.
     """
-    k = m.shape[0]
+    k, c = m.shape
     peak = float(np.abs(m).max())
     if not _CERTIFICATE_MARGIN * floor < k * peak:
         return False
     a = m / peak
     g = a.T @ a
-    diag = g.ravel()[:: k + 1]  # a view: g is contiguous
+    diag = g.ravel()[:: c + 1]  # a view: g is contiguous
     f = float(diag.sum())
     t = _CERTIFICATE_MARGIN * (floor / peak) + _EPS * math.sqrt(f)
     diag -= t * t + 3 * (k + 2) * _EPS * f
@@ -743,6 +780,59 @@ def _clears(m: np.ndarray, floor: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# The smallest core order at which a step's rank drop is certified before an
+# SVD is taken (:func:`_certified_drop`).  Staircases of index-2 matrices of
+# order n, in process on one OpenBLAS thread, quartiles of 20 passes over 20
+# matrices, SVD against certified drop: n = 16, 280-315 us against 371-420;
+# n = 24, 336-583 against 348-578; n = 32, 473-504 against 458-494; n = 48,
+# 1142-1603 against 939-1325; n = 64, 1751-1769 against 1383-1439.  Below
+# order 32 the certificate's four extra LAPACK calls cost as much as the SVD
+# they save, or more.
+_CERTIFIED_DROP_ORDER = 32
+
+
+def _certified_drop(core: np.ndarray, k: np.ndarray, floor: float):
+    """``(r, u)`` for a step of the staircase whose rank drop two min-max
+    bounds certify, or ``None`` where they do not, and the step's SVD
+    decides.  ``core`` is ``C = B^T m B`` of order ``r0``, B the basis of
+    ``col(m**(j-1))``, and ``k = B^T N``, N the orthonormal null space of m
+    that step 1's SVD dropped.
+
+    A null vector ``B x`` of m in ``col(B)`` is a null vector of C, and it
+    lies in ``col(N)``, so it is ``N z`` with ``||B^T N z|| = ||z||``: the
+    eigenvectors y of ``k^T k`` whose eigenvalues lie above ``1 - 1e-8``
+    give the candidates, ``W = k y / sqrt(lambda)``, d orthonormal columns
+    in the coordinates of B.  Where ``||C W||_F <= floor / 2``, d singular
+    values of C lie at or below half the floor; where, with Q the
+    orthonormal complement of W from a complete Householder QR,
+    :func:`_clears` certifies ``C Q``, its r = r0 - d others lie above 10
+    times the floor.  That is the count the SVD rule gives, with those
+    margins on either side of its floor, so no rank changes.  The first r
+    columns of u, the orthogonal factor of a complete QR of ``C Q``, span
+    ``col(C)``, so ``B u[:, :r]`` is the next basis and ``B u[:, r:]`` the
+    dropped directions, as the SVD's singular vectors would be.
+
+    No candidate, d = r0 (a zero power, which the SVD settles), a bound
+    that fails and a ``LinAlgError`` all give ``None``.
+    """
+    order = core.shape[0]
+    try:
+        lam, y = np.linalg.eigh(k.T @ k)
+        inside = lam > 1.0 - 1e-8
+        d = int(np.count_nonzero(inside))
+        if not 0 < d < order:
+            return None
+        w = (k @ y[:, inside]) / np.sqrt(lam[inside])
+        if not np.linalg.norm(core @ w) <= floor / 2:
+            return None
+        cq = core @ np.linalg.qr(w, mode="complete")[0][:, d:]
+        if not _clears(cq, floor):
+            return None
+        return order - d, np.linalg.qr(cq, mode="complete")[0]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _unit_scale(m: np.ndarray):

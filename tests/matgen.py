@@ -160,3 +160,35 @@ def gesdd_failure_case():
         a = (u * s) @ vt
         y = rng.standard_normal(n)
     return a, y
+
+
+def symmetric_near_floor(rng, n, zeros, factor):
+    """A symmetric ``Q diag(lam) Q^T`` of order n with ``zeros`` zero
+    eigenvalues, one at ``factor * n * eps * max|lam|`` and the rest of
+    magnitude 0.5 to 2: an eigenvalue near the staircase's first floors."""
+    lam = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    lam[:zeros] = 0.0
+    lam[zeros] = factor * n * np.finfo(float).eps * np.abs(lam).max()
+    q = random_orthogonal(rng, n)
+    return (q * lam) @ q.T
+
+
+def large_staircase_suite(seed=20261022):
+    """List of (matrix, kind): matrices of order 40 to 96 whose staircases
+    reach cores of order 32 and more.  ``"block"``: ``U [[T, C], [0, N]]
+    U^T`` of index 0 to 4 (:func:`block_triangular_system`).  ``"permuted
+    nilpotent"``: ``P A P^T`` with A Gaussian strictly upper triangular,
+    whose Jordan structure is ill conditioned, so that no SVD-based
+    reference decides its ranks reliably.  ``"symmetric"``: an eigenvalue
+    near the floor, dropped at step 1 or kept at step 1 and dropped at step
+    2 (:func:`symmetric_near_floor`)."""
+    rng = np.random.default_rng(seed)
+    suite = [(block_triangular_system(rng, int(rng.integers(40, 97)), k, True)[0], "block")
+             for k in range(5)]
+    for n in (40, 48):
+        a = np.triu(rng.standard_normal((n, n)), 1)
+        p = rng.permutation(n)
+        suite.append((a[p][:, p], "permuted nilpotent"))
+    suite += [(symmetric_near_floor(rng, n, zeros, factor), "symmetric")
+              for n, zeros, factor in ((40, 3, 0.5), (64, 8, 1.5), (96, 1, 1.2))]
+    return suite

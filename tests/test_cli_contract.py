@@ -31,6 +31,7 @@ FAILURE_CAUSES = (
     "core-EP inverse overflows",
     "core inverse overflows",
     "Moore-Penrose inverse overflows",
+    "matrix power overflows",
     "T block of the core-EP decomposition overflows",
     "S block of the core-EP decomposition overflows",
     "N block of the core-EP decomposition overflows",

@@ -1,10 +1,13 @@
 import dataclasses
+import math
 import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from matgen import (
     block_pair_suite,
     block_triangular_system,
@@ -12,7 +15,9 @@ from matgen import (
     graded_index_one,
     index_matrix,
     index_matrix_suite,
+    large_staircase_suite,
     random_orthogonal,
+    symmetric_near_floor,
 )
 from oracles import exact_inverse, exact_rank, svd_staircase_ranks
 
@@ -33,6 +38,7 @@ from fuzzylinsys import (
     core_ep_via_decomposition,
     core_ep_via_formula,
     core_inverse,
+    fuzzy_solution,
     in_column_space,
     matrix_index,
     matrix_power,
@@ -41,6 +47,7 @@ from fuzzylinsys import (
     power_ranks,
     rank,
     solve,
+    validity,
 )
 from fuzzylinsys import ginv
 from fuzzylinsys._util import as_matrix, as_vector
@@ -232,6 +239,13 @@ class TestMatrixPower:
         np.testing.assert_array_equal(matrix_power(m, 0), np.eye(2))
         np.testing.assert_array_equal(matrix_power(m, 1), m)
 
+    def test_overflow_is_a_typed_failure(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="^matrix power overflows"):
+                matrix_power([[2**1000, 0], [0, 1]], 2)
+            assert matrix_power([[2**500, 0], [0, 1]], 2)[0, 0] == 2.0**1000
+
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             matrix_power(np.eye(2), -1)
@@ -306,6 +320,15 @@ class TestMatrixIndex:
         i = np.arange(12)
         assert matrix_index(1.0 / (i[:, None] + i[None, :] + 1.0)) <= 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the floor j * cutoff * sigma_max grows with j, so step 2 drops an "
+        "eigenvalue between 1 and 2 times n * eps * max|lambda| that step 1 kept: "
+        "ranks [3, 2, 1, 1], index 2 for a symmetric matrix"))
+    def test_symmetric_index_at_most_one_near_the_floor(self):
+        m = np.diag([1.0, 4.5 * np.finfo(float).eps, 0.0])
+        assert matrix_index(m) <= 1
+        core_inverse(m)
+
     def test_requires_square(self):
         with pytest.raises(DimensionMismatchError):
             matrix_index(np.zeros((2, 3)))
@@ -319,6 +342,8 @@ class TestMatrixIndex:
         cases = [scale * m for m, _, _ in index_matrix_suite()
                  for scale in (1.0, 1e-150, 1e150)]
         cases += [1.0 / (i[:, None] + i[None, :] + 1.0), non_normal, gesdd_failure_case()[0]]
+        # and a rank dropped on a certificate too, at orders 40 to 96
+        cases += [m for m, kind in large_staircase_suite() if kind != "permuted nilpotent"]
         for m in cases:
             assert power_ranks(m) == svd_staircase_ranks(m)
 
@@ -1160,8 +1185,10 @@ class TestStaircaseRecord:
 
     def test_the_frame_is_wangs_orthogonal_u(self):
         # every prefix F[:, :ranks[j]] of the frame is an orthonormal basis
-        # of col(m**j), as the left singular vectors of m**j span it
-        for m, _, _ in index_matrix_suite():
+        # of col(m**j), as the left singular vectors of m**j span it; the
+        # large matrices take certified drops
+        large = [m for m, kind in large_staircase_suite() if kind != "permuted nilpotent"]
+        for m in [m for m, _, _ in index_matrix_suite()] + large:
             n, record = m.shape[0], MatrixPowers(m).staircase()
             f = record.frame
             assert f.shape == (n, n)
@@ -1194,6 +1221,86 @@ class TestStaircaseRecord:
             assert len(ranks) <= n + 2
         for n, m in enumerate(shifts, start=1):  # the bound is reached
             assert MatrixPowers(m).staircase().ranks == tuple(range(n, -1, -1)) + (0,)
+
+
+def _spans(a, b):
+    """The distance between the projectors on the column spaces of the
+    orthonormal a and b."""
+    return np.linalg.norm(a @ a.T - b @ b.T)
+
+
+class TestCertifiedDrop:
+    """A rank drop after step 1, on a core of order 32 or more, is certified
+    from the null space that step 1's SVD holds, with the count the SVD
+    would give; the SVD decides what the certificate cannot."""
+
+    @pytest.fixture
+    def answers(self, monkeypatch):
+        """What each call of ``_certified_drop`` returned while the test runs."""
+        answers = []
+        certified_drop = ginv._certified_drop
+
+        def recording(*args):
+            answers.append(certified_drop(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(ginv, "_certified_drop", recording)
+        return answers
+
+    def test_one_svd_per_staircase(self, svd_shapes):
+        # index 3: steps 2 and 3 drop on cores of order about 60 without an
+        # SVD, and step 4 holds on its certificate
+        m = block_triangular_system(np.random.default_rng(64), 64, 3, True)[0]
+        assert matrix_index(MatrixPowers(m)) == 3
+        assert svd_shapes == [(64, 64)]
+
+    def test_decides_as_the_svd_does(self, answers, monkeypatch):
+        # the ranks of an SVD at every drop, on permuted nilpotent matrices
+        # too, whose ranks no SVD reference decides reliably, and the same
+        # spaces where they are well conditioned
+        suite = large_staircase_suite()
+        records = [MatrixPowers(m).staircase() for m, _ in suite]
+        assert any(a is None for a in answers) and any(a is not None for a in answers)
+        monkeypatch.setattr(ginv, "_CERTIFIED_DROP_ORDER", math.inf)
+        for (m, kind), record in zip(suite, records):
+            by_svd = MatrixPowers(m).staircase()
+            assert record.ranks == by_svd.ranks
+            if kind != "permuted nilpotent":
+                for r in record.ranks:
+                    assert _spans(record.frame[:, :r], by_svd.frame[:, :r]) <= 1e-10
+
+    def test_the_svd_decides_where_the_certificate_declines(self, svd_shapes, answers):
+        # 8 zero eigenvalues and one at 1.5 n eps max|lambda|, which step 2
+        # drops: that direction is no null vector of m, so step 1's null
+        # space holds no candidate, and the SVD of the order-56 core decides
+        m = symmetric_near_floor(np.random.default_rng(65), 64, 8, 1.5)
+        ranks = power_ranks(MatrixPowers(m))
+        assert answers == [None]
+        assert svd_shapes == [(64, 64), (56, 56)]
+        assert ranks == [64, 56, 55, 55] == svd_staircase_ranks(m)
+
+
+# Matrices whose scaled copies must give the same staircase: the small index
+# suite and matrices of order 47 to 75 and index 0 to 4, whose drops after
+# step 1 are certified.
+SCALE_CASES = [m for m, _, _ in index_matrix_suite(reps=1)] + \
+    [m for m, kind in large_staircase_suite() if kind == "block"]
+
+
+class TestScaleCovariance:
+    """Scaling m by a power of two moves no rank and no frame bit, and
+    scales the blocks of the core-EP decomposition exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from(SCALE_CASES), p=st.integers(-600, 600))
+    def test_scaling_by_a_power_of_two_is_exact(self, m, p):
+        base, scaled = MatrixPowers(m), MatrixPowers(np.ldexp(m, p))
+        assert scaled.staircase().ranks == base.staircase().ranks
+        assert _bits(scaled.staircase().frame) == _bits(base.staircase().frame)
+        dec, dec_scaled = core_ep_decompose(base), core_ep_decompose(scaled)
+        assert _bits(dec_scaled.u) == _bits(dec.u)
+        for block in ("t", "s_block", "n_block"):
+            assert _bits(getattr(dec_scaled, block)) == _bits(np.ldexp(getattr(dec, block), p))
 
 
 class TestComplexInput:
@@ -1253,6 +1360,49 @@ MATRIX_ENTRY_POINTS = {
 }
 
 
+_NUMBER = FuzzyNumber(AffineFn(0.0), AffineFn(1.0))
+
+# Values that are not real numbers within the float range, and some that are.
+_junk = st.one_of(st.text(max_size=3), st.binary(max_size=3), st.booleans(), st.none(),
+                  st.integers(-2**1100, 2**1100), st.floats(), st.complex_numbers(),
+                  st.just({}), st.just(np.ma.masked), st.just(_NUMBER))
+
+
+def _square_object_array(entries):
+    return np.array(entries + [0] * (4 - len(entries)), dtype=object).reshape(2, 2)
+
+
+# Hostile inputs: a value, ragged nested lists, object arrays, bool, string
+# and masked arrays.
+_hostile = st.one_of(
+    _junk,
+    st.lists(_junk, max_size=4),
+    st.lists(st.lists(_junk, max_size=3), max_size=3),
+    st.lists(_junk, max_size=4).map(_square_object_array),
+    st.lists(st.booleans(), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2))),
+    st.lists(st.text(max_size=2), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2))),
+    st.lists(st.booleans(), min_size=4, max_size=4).map(
+        lambda mask: np.ma.masked_array(np.eye(2), mask=np.reshape(mask, (2, 2)))),
+)
+
+# Every public entry point that takes numbers, a matrix or a vector, each
+# given one hostile argument.
+HOSTILE_ENTRY_POINTS = {
+    **MATRIX_ENTRY_POINTS,
+    "FlsProblem y": lambda y: FlsProblem(np.eye(2), y),
+    "FlsProblem y entry": lambda y: FlsProblem(np.eye(2), [_NUMBER, y]),
+    "solve y": lambda y: solve(FlsProblem(np.eye(2), [_NUMBER, y])),
+    "AffineFn c0": lambda c: AffineFn(c),
+    "AffineFn c1": lambda c: AffineFn(0.0, c),
+    "FuzzyNumber lower": lambda f: FuzzyNumber(f, AffineFn(1.0)),
+    "FuzzyNumber upper": lambda f: FuzzyNumber(AffineFn(0.0), f),
+    "fuzzy_solution x0": lambda x: fuzzy_solution(x, [0.0, 0.0]),
+    "fuzzy_solution x1": lambda x: fuzzy_solution([0.0, 0.0], x),
+    "validity slack": lambda tol: validity(_NUMBER, tol),
+    "TolerancePolicy": lambda v: TolerancePolicy(rank_rel_tol=v),
+}
+
+
 class TestInputGate:
     """Every public entry point refuses a non-real input with a ValueError
     that names it, and no warning, while real dtypes and big ints that fit a
@@ -1288,6 +1438,34 @@ class TestInputGate:
                   np.eye(2, dtype=np.uint64), [[True, 0], [0, 1.5]]):
             assert rank(m) == 2
         assert AffineFn(True, np.int64(2)) == AffineFn(1.0, 2.0)
+
+    def test_fuzzy_number_endpoints(self):
+        with pytest.raises(ValueError, match="fuzzy number endpoints must be AffineFn"):
+            FuzzyNumber(1.0, 2.0)
+        with pytest.raises(ValueError, match="fuzzy number endpoints must be AffineFn"):
+            FuzzyNumber(AffineFn(1.0), (2.0, 0.0))
+
+    def test_right_hand_side_entries(self):
+        with pytest.raises(ValueError, match=r"^y\[0\] must be a FuzzyNumber"):
+            solve(FlsProblem(np.eye(2), [1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^y\[1\] must be a FuzzyNumber"):
+            FlsProblem(np.eye(2), [_NUMBER, (0.0, 1.0)])
+        with pytest.raises(ValueError, match="^y must be a sequence of FuzzyNumber"):
+            FlsProblem(np.eye(1), 1.0)
+
+    @pytest.mark.parametrize("f", HOSTILE_ENTRY_POINTS.values(), ids=HOSTILE_ENTRY_POINTS.keys())
+    @settings(max_examples=40, deadline=None)
+    @given(x=_hostile)
+    def test_hostile_inputs(self, f, x):
+        # whatever comes in, a result, a ValueError or a FuzzyLinSysError
+        # comes out, and no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                f(x)
+            except (ValueError, FuzzyLinSysError):
+                pass
+        assert caught == []
 
 
 def test_block_pair_suite_shapes():

@@ -31,6 +31,7 @@ from .ginv import (
     DEFAULT_TOLERANCES,
     CoreEpDecomposition,
     MatrixPowers,
+    Staircase,
     TolerancePolicy,
     core_ep_decompose,
     core_ep_via_decomposition,

@@ -145,8 +145,9 @@ def rank(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     The singular values are those :func:`_svd_of` reads: for a square ``m``,
     bare or a :class:`MatrixPowers`, the SVD its :class:`MatrixPowers` keeps
     (see :func:`_as_powers`), as :func:`moore_penrose` and
-    :func:`in_column_space` read it; the first step of its staircase applies
-    the same rule, so the rank is ``power_ranks(m, tol)[1]``.  A non-square
+    :func:`in_column_space` read it; the first step of its staircase takes
+    its rank from :func:`_svd_of` too, so the rank is
+    ``power_ranks(m, tol)[1]``.  A non-square
     ``m`` takes its own SVD.
     """
     return _svd_of(m, tol)[3]
@@ -195,14 +196,17 @@ class Staircase:
     so the matrix index is ``len(ranks) - 2``.  ``frame`` is an n x n
     orthogonal matrix, the U of Wang's core-EP decomposition, each of whose
     prefixes ``frame[:, :ranks[j]]`` is an orthonormal basis of the column
-    space of ``m**j``: columns ``ranks[j]`` to ``ranks[j-1]`` are the
-    directions dropped at step j, and the first ``ranks[-1]`` the basis B
-    of ``col(m**k)`` at the index k.  A nonsingular m keeps the identity.
-    ``core`` is ``B^T unit B``.  ``norm_bound`` is ``sigma_max(unit)`` as
-    the first step found it: from its SVD, or the upper bound
-    ``||unit||_F`` where the certificate made that SVD unnecessary.  It lies in [1/2, n], and
-    ``sigma_max(m)`` is it times ``2**exponent``, which can exceed the float
-    maximum.  ``ranks`` is a tuple and every array is read-only.
+    space of ``m**j``.  It is the staircase's only basis: a nonsingular m
+    keeps the identity, a drop at step 1 makes it the U of the SVD of m,
+    and each later drop rewrites the prefix that spans the previous power,
+    so columns ``ranks[j]`` to ``ranks[j-1]`` are the directions dropped at
+    step j, and the first ``ranks[-1]`` the basis B of ``col(m**k)`` at the
+    index k.  ``core`` is ``B^T unit B``.  ``norm_bound`` is
+    ``sigma_max(unit)`` as the first step found it: from its SVD, or the
+    upper bound ``||unit||_F`` where the certificate made that SVD
+    unnecessary.  It lies in [1/2, n] for a nonzero m and is 0 for a zero
+    m, and ``sigma_max(m)`` is it times ``2**exponent``, which can exceed
+    the float maximum.  ``ranks`` is a tuple and every array is read-only.
     """
 
     ranks: tuple
@@ -266,32 +270,35 @@ class MatrixPowers:
         the same record.
 
         The column space of ``m**j`` is ``m`` applied to that of
-        ``m**(j-1)``, so with B the basis of the latter, the singular values of
-        ``m @ B`` give the rank of ``m**j`` and their vectors its basis.  The
-        singular values count only above ``j * cutoff * sigma_max(m)``, the
-        size of the roundoff in m and in the j products behind ``m @ B``: a
-        perturbation of m that small could remove the ones below.  So the
-        decision is scale-free, like the rank of m itself, and is never made
-        against ``sigma_max(m)**j``, which can lie far above the real singular
-        values of a power of a non-normal m.
+        ``m**(j-1)``, so with B an orthonormal basis of the latter, the
+        singular values of ``m @ B`` give the rank of ``m**j`` and their
+        vectors its basis.  The singular values count only above
+        ``j * cutoff * sigma_max(m)``, the size of the roundoff in m and in
+        the j products behind ``m @ B``: a perturbation of m that small could
+        remove the ones below.  So the decision is scale-free, like the rank
+        of m itself, and is never made against ``sigma_max(m)**j``, which can
+        lie far above the real singular values of a power of a non-normal m.
 
-        For j >= 2 the space ``col(m**(j-1))`` contains ``col(m**j)``, so
-        ``m @ B = B C`` with the core ``C = B^T m B`` of order ``rank(m**(j-1))``,
-        up to roundoff inside the floor: C has the singular values of
-        ``m @ B``, and where the rank drops to r, ``B U_r`` is the next
-        basis, U an orthogonal matrix whose first r columns span ``col(C)``:
-        the left singular vectors of C, or the Q of a QR factorization where
-        the drop is certified.  At j = 1, B = I and C is m itself.
+        **Step 1** runs once, on m itself.  The hold certificate
+        :func:`_clears`, a Cholesky factorization of the shifted Gram matrix
+        of m (Rump, "Verification of positive definiteness", BIT 46, 2006),
+        with ``||m||_F`` standing in for ``sigma_max(m)``, can prove
+        ``sigma_min(m)`` 10 times above the floor; then m is nonsingular, the
+        frame stays the identity and the staircase ends.  Otherwise
+        :func:`_svd_of` decides, by the rule :func:`rank` and
+        :func:`moore_penrose` use, on the SVD of m this object keeps: it gives
+        the rank ``r_1``, ``sigma_max(m)`` and the null space of m, and where
+        ``r_1 < n`` its U becomes the frame.
 
-        One of three decides a step, in this order.
+        **Every later step** j reads B, the basis of ``col(m**(j-1))``, as
+        the view ``frame[:, :r_(j-1)]``.  That space contains ``col(m**j)``,
+        so ``m @ B = B C`` with the core ``C = B^T m B`` of order
+        ``r_(j-1)``, up to roundoff inside the floor: C has the singular
+        values of ``m @ B``.  One of three decides, in this order.
 
-        - **The hold certificate.** :func:`_clears`, a Cholesky
-          factorization of the shifted Gram matrix of C (Rump, "Verification
-          of positive definiteness", BIT 46, 2006), proves that
-          ``sigma_min(C)`` clears the floor 10 times over; ``||m||_F`` stands
-          in for ``sigma_max(m)`` at j = 1.  Then the rank stays and the
-          previous basis spans the same space, with no SVD.
-        - **The certified drop**, at j >= 2 on a core of order at least
+        - **The hold certificate**, :func:`_clears` on C.  Then the rank
+          stays, with no SVD.
+        - **The certified drop**, on a core of order at least
           ``_CERTIFIED_DROP_ORDER`` (32).  A step loses as many ranks as
           ``col(m**(j-1))`` holds null vectors of m (the kernel view of the
           staircase: Kublanovskaya 1966; Van Dooren, Linear Algebra Appl.
@@ -299,11 +306,19 @@ class MatrixPowers:
           :func:`_certified_drop` takes its candidates from there and
           proves, by two min-max bounds, the count the SVD rule would give,
           with margins of 2 below the floor and 10 above it; a Householder
-          QR of C's kept part gives the next basis.
-        - **The SVD.** Otherwise one SVD with vectors of C decides and,
-          where the rank dropped, gives the basis the next step needs.  At
-          j = 1 that SVD is the one of m this object keeps for
-          :func:`moore_penrose`.
+          QR of C's kept part gives U.
+        - **The SVD** of C, with vectors, otherwise.
+
+        Where the rank drops to ``r_j``, U is orthogonal and its first
+        ``r_j`` columns span ``col(C)``, so a drop rewrites the prefix that
+        is B: ``B U[:, :r_j]``, the basis of ``col(m**j)``, goes into its
+        first ``r_j`` columns, and ``B U[:, r_j:]``, the orthogonal
+        complement of ``col(m**j)`` in ``col(m**(j-1))``, into its columns
+        ``r_j`` to ``r_(j-1)``.  Both products are formed before either is
+        written, since each reads all of B.  The columns past ``r_(j-1)``
+        stay, so each prefix ``frame[:, :r_j]`` spans ``col(m**j)``, the
+        frame is the U of :func:`core_ep_decompose`, and the record holds
+        one n x n array however high the index, not a basis per power.
 
         So a nonsingular m takes one Gram product and one Cholesky
         factorization; a drop at step 1 takes those and the SVD of m; and a
@@ -318,17 +333,9 @@ class MatrixPowers:
         whose largest entry is at most ``10 floor / r`` cannot be certified,
         and :func:`_clears` says so before it forms anything, so no bound it
         forms overflows and no finite m makes a step warn, however subnormal
-        its cores.  The last step's core,
-        ``B^T m B`` at the index, is kept for :meth:`core_ep_apply`.
-
-        The frame starts as the identity.  Where the rank drops from
-        ``r_(j-1)`` to ``r_j`` at step j, the dropped directions
-        ``B U[:, r_j:]``, the orthogonal complement of ``col(m**j)`` in
-        ``col(m**(j-1))``, go into its columns ``r_j`` to ``r_(j-1)``; when
-        the steps end, the last basis goes into its first ``r_k`` columns.
-        So each prefix ``frame[:, :r_j]`` spans ``col(m**j)``, the frame is
-        the U of :func:`core_ep_decompose`, and the record holds one n x n
-        array however high the index, not a basis per power.
+        its cores.  A zero power's successor is zero, with no certificate.
+        The last step's core, ``B^T m B`` at the index (m itself at index
+        0), is kept for :meth:`core_ep_apply`.
 
         The steps run until the rank repeats, and that happens by j = n + 1:
         each step's core has the previous rank as its order, so no rank
@@ -342,40 +349,28 @@ class MatrixPowers:
         """
         if tol in self._staircases:
             return self._staircases[tol]
-        cutoff = tol.rank_cutoff(self.m.shape)
-        # b is the basis of col(m**(j-1)), set at the first drop: step 1 does
-        # not read it, and with no drop the frame stays the identity; null is
-        # the null space of m that step 1 dropped, which every later step
-        # that reaches it has (a step 1 without a drop ends the staircase)
-        ranks, frame, b, null = [self.n], np.eye(self.n), None, None
-        smax = self._norm  # >= sigma_max(unit); step 1's SVD replaces it
-        while len(ranks) == 1 or ranks[-1] < ranks[-2]:  # until the rank repeats
-            j = len(ranks)  # this step ranks m**j
-            # a power after a zero power is zero
-            r, core = 0, np.zeros((0, 0))
-            if ranks[-1]:
-                # col(m B) lies in col(B) for j >= 2, so m B = B core
-                core = self.unit if j == 1 else b.T @ (self.unit @ b)
-                if _clears(core, j * cutoff * smax):
-                    r = ranks[-1]
-                else:
-                    drop = None
-                    if j >= 2 and ranks[-1] >= _CERTIFIED_DROP_ORDER:
-                        drop = _certified_drop(core, b.T @ null, j * cutoff * smax)
-                    if drop is None:
-                        u, s, vt = self._thin_svd() if j == 1 else _svd(core)
-                        if j == 1:
-                            smax = s[0]
-                        r = int(np.count_nonzero(s > j * cutoff * smax))
-                        null = vt[r:].T if j == 1 else null
-                    else:
-                        r, u = drop
-                    if r < ranks[-1]:  # the next power needs this one's basis
-                        frame[:, r : ranks[-1]] = u[:, r:] if j == 1 else b @ u[:, r:]
-                        b = u[:, :r] if j == 1 else b @ u[:, :r]
+        cutoff, frame, ranks = tol.rank_cutoff(self.m.shape), np.eye(self.n), [self.n, self.n]
+        core, smax = self.unit, self._norm  # smax >= sigma_max(unit)
+        if not _clears(core, cutoff * smax):  # step 1, by the rule of rank(m)
+            u, s, vt, r, _ = _svd_of(self, tol)
+            # null, the null space of m, is read only by the steps after a drop
+            smax, null, ranks[1] = s[0], vt[r:].T, r
+            if r < self.n:
+                frame[:] = u
+        while ranks[-1] < ranks[-2]:  # until the rank repeats
+            r0, floor = ranks[-1], len(ranks) * cutoff * smax
+            b = frame[:, :r0]  # col(m b) lies in col(b), so m b = b core
+            core, r = b.T @ (self.unit @ b), r0
+            if r0 and not _clears(core, floor):
+                drop = _certified_drop(core, b, null, floor)
+                if drop is None:
+                    u, s, _ = _svd(core)
+                    drop = int(np.count_nonzero(s > floor)), u
+                r, u = drop
+                if r < r0:  # both products read b before either is written
+                    kept, dropped = b @ u[:, :r], b @ u[:, r:]
+                    frame[:, r:r0], frame[:, :r] = dropped, kept
             ranks.append(r)
-        if b is not None:
-            frame[:, : ranks[-1]] = b
         record = Staircase(tuple(ranks), _frozen(frame), _frozen(core), float(smax))
         return self._staircases.setdefault(tol, record)
 
@@ -512,8 +507,8 @@ def core_ep_via_formula(m, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndar
     ``A^k = I`` and it is ``A^+ = A^-1``, which is returned as
     :func:`moore_penrose` gives it, from the SVD that the
     :class:`MatrixPowers` keeps: no power, product or second SVD is formed.
-    The staircase's first step applies the rank rule of that SVD, so it
-    finds rank n there too.  ``m`` is a square matrix or a
+    The staircase's first step takes its rank from :func:`_svd_of` too, so
+    it finds rank n there as well.  ``m`` is a square matrix or a
     :class:`MatrixPowers`.
 
     The Moore-Penrose inverse of ``(A^T)^k A^(k+1)`` squares the condition of
@@ -662,8 +657,10 @@ def _svd_of(m, tol: TolerancePolicy):
     A square ``m``, bare or a :class:`MatrixPowers`, reads the SVD its
     :class:`MatrixPowers` keeps of its ``unit`` (see :func:`_as_powers`); a
     non-square ``m`` takes its own, of its copy scaled the same way.  The
-    rank, the Moore-Penrose inverse and column-space membership all read it,
-    so one rule decides each of them.
+    rank, the Moore-Penrose inverse, column-space membership and the first
+    step of the staircase (where its certificate cannot prove m
+    nonsingular) all take the SVD and the rank from here, so one rule, in
+    one place, decides each of them.
     """
     if not isinstance(m, MatrixPowers):
         m = as_matrix(m)
@@ -793,12 +790,14 @@ def _clears(m: np.ndarray, floor: float) -> bool:
 _CERTIFIED_DROP_ORDER = 32
 
 
-def _certified_drop(core: np.ndarray, k: np.ndarray, floor: float):
+def _certified_drop(core: np.ndarray, b: np.ndarray, null: np.ndarray, floor: float):
     """``(r, u)`` for a step of the staircase whose rank drop two min-max
     bounds certify, or ``None`` where they do not, and the step's SVD
-    decides.  ``core`` is ``C = B^T m B`` of order ``r0``, B the basis of
-    ``col(m**(j-1))``, and ``k = B^T N``, N the orthonormal null space of m
-    that step 1's SVD dropped.
+    decides.  ``core`` is ``C = B^T m B`` of order ``r0``, ``b`` the basis B
+    of ``col(m**(j-1))`` and ``null`` the orthonormal null space N of m
+    that step 1's SVD dropped.  A core of order below
+    ``_CERTIFIED_DROP_ORDER`` gives ``None`` before anything is formed;
+    otherwise ``k = B^T N`` is.
 
     A null vector ``B x`` of m in ``col(B)`` is a null vector of C, and it
     lies in ``col(N)``, so it is ``N z`` with ``||B^T N z|| = ||z||``: the
@@ -818,6 +817,9 @@ def _certified_drop(core: np.ndarray, k: np.ndarray, floor: float):
     that fails and a ``LinAlgError`` all give ``None``.
     """
     order = core.shape[0]
+    if order < _CERTIFIED_DROP_ORDER:
+        return None
+    k = b.T @ null
     try:
         lam, y = np.linalg.eigh(k.T @ k)
         inside = lam > 1.0 - 1e-8

@@ -114,11 +114,24 @@ class TestRank:
         assert svd_shapes == []
 
     def test_is_the_first_staircase_rank(self):
-        # one rule decides rank(m) and the rank of m in the staircase
-        for a, _, _ in index_matrix_suite():
-            for scale in (1.0, 1e150, 1e-150):
-                m = scale * a
-                assert rank(m) == power_ranks(m)[1]
+        # one rule decides rank(m) and the rank of m in the staircase: on
+        # the small index suite, on orders 40 to 96 whose later drops are
+        # certified, and on symmetric matrices with an eigenvalue near the
+        # floor, at large and small scales and under a coarser cutoff too
+        rng = np.random.default_rng(116)
+        near_floor = [
+            symmetric_near_floor(rng, int(rng.integers(3, 17)), int(rng.integers(1, 3)),
+                                 rng.uniform(0.5, 3.0))
+            for _ in range(20)
+        ]
+        cases = [(a, (1.0, 1e150, 1e-150)) for a, _, _ in index_matrix_suite()]
+        cases += [(a, (1.0,)) for a, _ in large_staircase_suite()]
+        cases += [(a, (1.0, 2.0**600, 2.0**-600)) for a in near_floor]
+        for tol in (DEFAULT_TOLERANCES, TolerancePolicy(rank_rel_tol=1e-10)):
+            for a, scales in cases:
+                for scale in scales:
+                    m = scale * a
+                    assert rank(m, tol) == power_ranks(m, tol)[1]
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(DimensionMismatchError):
@@ -1197,6 +1210,17 @@ class TestStaircaseRecord:
                 u = np.linalg.svd(matrix_power(m, j))[0][:, :r]
                 b = f[:, :r]
                 assert np.linalg.norm(b @ b.T - u @ u.T) <= 1e-10
+
+    def test_norm_bound_lies_in_half_to_n_or_is_zero(self):
+        # sigma_max(unit) from the SVD, or the bound ||unit||_F where the
+        # certificate skipped it: in [1/2, n] for a nonzero m, 0 for a zero m
+        cases = [_shift(5), _hilbert(12), np.eye(3), np.ldexp(np.ones((4, 4)), -1074)]
+        cases += [np.zeros((n, n)) for n in (1, 2, 7)]
+        cases += [m for m, _, _ in index_matrix_suite()]  # the 1 x 1 zero among them
+        for m in cases:
+            bound = MatrixPowers(m).staircase().norm_bound
+            assert type(bound) is float
+            assert 0.5 <= bound <= m.shape[0] if m.any() else bound == 0.0
 
     def test_the_record_of_a_high_index_matrix_holds_o_n2_bytes(self):
         # one n x n frame, not a basis per power: a view counts the whole

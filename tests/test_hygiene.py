@@ -1,11 +1,11 @@
 """Static checks on the package source, parsed with the stdlib ``ast``: no
-module imports a name it never uses, every name an ``__all__`` lists exists,
-no module reads another package module's private names, no private
-top-level name goes unused, every function reads each of its parameters,
-every import is relative or of numpy or the standard library, every
-cross-reference in a docstring names something that exists, and every
-numerical failure opens its message with a cause from the command-line
-contract test's fixed list."""
+module imports a name it never uses, every name an ``__all__`` lists exists
+and the package exports it, no module reads another package module's
+private names, no private top-level name goes unused, every function reads
+each of its parameters, every import is relative or of numpy or the
+standard library, every cross-reference in a docstring names something that
+exists, and every numerical failure opens its message with a cause from the
+command-line contract test's fixed list."""
 
 import ast
 import re
@@ -63,6 +63,14 @@ def _all(tree):
 def test_all_names_resolve(path):
     tree = ast.parse(path.read_text(), str(path))
     assert sorted(set(_all(tree)) - set(_top_level_names(tree))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_the_package_exports_every_all_name(path):
+    # a name a module lists as public is public at the package level too
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    tree = ast.parse(path.read_text(), str(path))
+    assert sorted(set(_all(tree)) - set(_imported_names(init))) == []
 
 
 def _private(name):
